@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .diagram import Crossing, Diagram, DSU, check_valid
+from .diagram import Crossing, Diagram, check_valid, rebuild
 from .errors import BraidRangeError, DiagramSyntaxError
 
 
@@ -113,34 +113,15 @@ def closure(w: BraidWord) -> Diagram:
     # Provisional arc ids; the closure identification collapses them.
     next_id = n
     current = list(range(n))
-    start = list(range(n))
-    raw: list[tuple[int, int, int, int, int]] = []  # sign, u_in, o_in, u_out, o_out
+    raw: list[Crossing] = []  # over provisional arc ids
     for letter in letters:
         j = abs(letter) - 1  # crossing between positions j and j+1 (0-based)
         left, right = current[j], current[j + 1]
         out_left, out_right = next_id, next_id + 1
         next_id += 2
         if letter > 0:
-            raw.append((+1, right, left, out_left, out_right))
+            raw.append(Crossing(+1, right, left, out_left, out_right))
         else:
-            raw.append((-1, left, right, out_right, out_left))
+            raw.append(Crossing(-1, left, right, out_right, out_left))
         current[j], current[j + 1] = out_left, out_right
-
-    dsu = DSU(next_id)
-    for i in range(n):
-        dsu.union(start[i], current[i])
-    used: set[int] = set()
-    resolved = []
-    for sign, ui, oi, uo, oo in raw:
-        arcs = [dsu.find(a) for a in (ui, oi, uo, oo)]
-        used.update(arcs)
-        resolved.append((sign, arcs))
-    live = sorted(used)
-    relabel = {rep: i for i, rep in enumerate(live)}
-    crossings = tuple(
-        Crossing(sign, relabel[a[0]], relabel[a[1]], relabel[a[2]], relabel[a[3]])
-        for sign, a in resolved
-    )
-    all_reps = {dsu.find(a) for a in range(next_id)}
-    free_loops = len(all_reps) - len(live)
-    return check_valid(Diagram(2 * len(crossings), crossings, free_loops))
+    return check_valid(rebuild(next_id, enumerate(current), raw, 0))

@@ -8,6 +8,7 @@ mismatch or certificate contradiction.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -135,13 +136,7 @@ def cmd_analyze(args) -> int:
     warnings_list = []
     try:
         b = braid_index_bounds(d, args.max_crossings, args.max_vertices, idx)
-        result["bounds"] = {
-            "lower_mfw": b.lower_mfw,
-            "upper_mp": b.upper_mp,
-            "upper_refined": b.upper_refined,
-            "pinned": b.pinned,
-            "lower_omitted": b.lower_omitted,
-        }
+        result["bounds"] = dataclasses.asdict(b)
         if b.lower_omitted:
             warnings_list.append("MFW lower bound omitted: crossing cap exceeded")
     except SizeLimitError as exc:

@@ -82,6 +82,32 @@ class DSU:
             self.parent[rb] = ra
 
 
+def rebuild(arc_count: int, joins, crossings, free_loops: int) -> Diagram:
+    """Glue arcs and renumber: the one rebuild after a splice or closure.
+
+    ``joins`` are pairs of arc ids in ``0..arc_count-1`` to identify, and
+    ``crossings`` use those ids.  Surviving classes are renumbered in order
+    of their smallest id; classes no crossing touches become free loops on
+    top of ``free_loops``.  The result is not validated.
+    """
+    dsu = DSU(arc_count)
+    for a, b in joins:
+        dsu.union(a, b)
+    find = dsu.find
+    resolved = [
+        (x.sign, find(x.under_in), find(x.over_in), find(x.under_out), find(x.over_out))
+        for x in crossings
+    ]
+    live = sorted({a for r in resolved for a in r[1:]})
+    relabel = {rep: i for i, rep in enumerate(live)}
+    new = tuple(
+        Crossing(s, relabel[ui], relabel[oi], relabel[uo], relabel[oo])
+        for s, ui, oi, uo, oo in resolved
+    )
+    classes = sum(1 for a, p in enumerate(dsu.parent) if a == p)
+    return Diagram(2 * len(new), new, free_loops + classes - len(live))
+
+
 def validate(d: Diagram) -> ValidationReport:
     """Check the slot invariants; every arc once in, once out."""
     issues = []

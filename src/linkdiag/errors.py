@@ -41,6 +41,10 @@ class BraidRangeError(LinkdiagError):
     """Braid letter index out of range for the declared strand count."""
 
 
+class CrossingRangeError(LinkdiagError):
+    """Crossing id out of range for the diagram."""
+
+
 class NotLoneError(LinkdiagError):
     """Crossing is not the unique edge between its two Seifert circles."""
 

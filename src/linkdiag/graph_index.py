@@ -12,7 +12,8 @@ of the one-sign spanning subgraph.
 Values are exact, found by exhaustive search with memoization keyed on a
 deterministic relabeling of the signed multiplicity matrix (identical keys
 imply identical graphs, so a missed isomorphic merge only costs time,
-never correctness).
+never correctness).  Witnesses are replayed on the search's own matrices
+and contraction, so the replay shares the search memo.
 """
 
 from __future__ import annotations
@@ -129,59 +130,30 @@ def ind_value(g: SignedMultigraph, mode: int = 0, memo: Memo | None = None) -> i
 
 
 def _witness(g: SignedMultigraph, mode: int, total: int, memo: Memo) -> ReductionWitness:
-    """Lexicographically smallest crossing-id sequence among maximum runs."""
-    # Track live edges with original vertex labels collapsed to representatives.
-    edges = [(e.u, e.v, e.sign, e.crossing_id) for e in g.edges]
-    labels = list(range(g.vertex_count))
+    """Lexicographically smallest crossing-id sequence among maximum runs.
+
+    Replays the search on its own matrices: each step contracts the
+    smallest-id lone edge whose contraction keeps the remaining value.
+    """
+    m = _matrix(g)
+    labels = list(range(g.vertex_count))  # matrix row -> smallest original vertex in it
+    row = list(range(g.vertex_count))  # original vertex -> matrix row
+    edges = sorted(g.edges, key=lambda e: e.crossing_id)
     steps: list[WitnessStep] = []
-    remaining = total
-    while remaining > 0:
-        mult: dict[tuple[int, int], int] = {}
-        for u, v, _s, _c in edges:
-            key = (min(u, v), max(u, v))
-            mult[key] = mult.get(key, 0) + 1
-        candidates = sorted(
-            (c, s, u, v)
-            for u, v, s, c in edges
-            if mult[(min(u, v), max(u, v))] == 1 and (mode == 0 or s == mode)
-        )
-        chosen = None
-        for c, s, u, v in candidates:
-            contracted = _contract_edges(edges, u, v)
-            if _ind_matrix(_edges_matrix(contracted), mode, memo) == remaining - 1:
-                chosen = (c, s, u, v, contracted)
-                break
-        if chosen is None:
+    for remaining in range(total, 0, -1):
+        for e in edges:
+            a, b = sorted((row[e.u], row[e.v]))
+            if a != b and _movable(m, a, b, mode):
+                contracted = _contract(m, a, b)
+                if _ind_matrix(contracted, mode, memo) == remaining - 1:
+                    break
+        else:
             raise AssertionError("witness reconstruction diverged from ind search")
-        c, s, u, v, edges = chosen
-        keep, drop = min(u, v), max(u, v)
-        steps.append(WitnessStep(c, s, (labels[keep], labels[drop])))
-        remaining -= 1
+        steps.append(WitnessStep(e.crossing_id, e.sign, (labels[a], labels[b])))
+        m = contracted
+        del labels[b]
+        row = [a if r == b else r - (r > b) for r in row]
     return ReductionWitness(tuple(steps))
-
-
-def _contract_edges(edges, u, v):
-    keep, drop = min(u, v), max(u, v)
-    out = []
-    for a, b, s, c in edges:
-        if {a, b} == {u, v}:
-            continue  # the contracted edge disappears
-        a2 = keep if a == drop else a
-        b2 = keep if b == drop else b
-        out.append((a2, b2, s, c))
-    return out
-
-
-def _edges_matrix(edges) -> Matrix:
-    verts = sorted({x for a, b, _s, _c in edges for x in (a, b)})
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    m = [[[0, 0] for _ in range(n)] for _ in range(n)]
-    for a, b, s, _c in edges:
-        slot = 0 if s > 0 else 1
-        m[idx[a]][idx[b]][slot] += 1
-        m[idx[b]][idx[a]][slot] += 1
-    return tuple(tuple((p, q) for p, q in row) for row in m)
 
 
 def ind_all(g: SignedMultigraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> IndexReport:

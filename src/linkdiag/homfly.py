@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Crossing, Diagram, check_valid, counts
+from .diagram import Crossing, Diagram, check_valid, counts, rebuild
 from .errors import SizeLimitError, ZeroPolynomialError
 from .graph_index import IndexReport
 from .poly import DELTA, LaurentPoly2
@@ -83,29 +83,9 @@ def _switch(d: Diagram, ci: int) -> Diagram:
 
 def _smooth(d: Diagram, ci: int) -> Diagram:
     """Oriented smoothing: remove crossing ci, joining u_in~o_out, o_in~u_out."""
-    from .diagram import DSU
-
     x = d.crossings[ci]
-    dsu = DSU(d.arc_count)
-    dsu.union(x.under_in, x.over_out)
-    dsu.union(x.over_in, x.under_out)
-    reps = sorted({dsu.find(a) for a in range(d.arc_count)})
-    used: set[int] = set()
-    crossings = []
-    for cj, y in enumerate(d.crossings):
-        if cj == ci:
-            continue
-        arcs = [dsu.find(a) for a in (y.under_in, y.over_in, y.under_out, y.over_out)]
-        used.update(arcs)
-        crossings.append((y.sign, arcs))
-    live = sorted(used)
-    relabel = {rep: i for i, rep in enumerate(live)}
-    new_crossings = tuple(
-        Crossing(sign, relabel[a[0]], relabel[a[1]], relabel[a[2]], relabel[a[3]])
-        for sign, a in crossings
-    )
-    orphan_loops = len(reps) - len(live)
-    return Diagram(2 * len(new_crossings), new_crossings, d.free_loops + orphan_loops)
+    joins = ((x.under_in, x.over_out), (x.over_in, x.under_out))
+    return rebuild(d.arc_count, joins, d.crossings[:ci] + d.crossings[ci + 1:], d.free_loops)
 
 
 def _homfly_rec(d: Diagram) -> LaurentPoly2:

@@ -41,9 +41,6 @@ class SignedMultigraph:
             mult[key] = mult.get(key, 0) + 1
         return mult
 
-    def sign_subgraph(self, sign: int) -> "SignedMultigraph":
-        return SignedMultigraph(self.vertex_count, tuple(e for e in self.edges if e.sign == sign))
-
     def to_edge_list(self) -> str:
         lines = [f"vertices:{self.vertex_count}"]
         for e in self.edges:

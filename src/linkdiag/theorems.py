@@ -8,12 +8,12 @@ SL = e - n (and with it s = SL + 1 and chi_4 = -SL).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .braids import QPWitness, closure, expand_witness
-from .diagram import DSU, Crossing, Diagram, check_valid, counts
+from .diagram import Diagram, check_valid, counts, rebuild
 from .errors import (
+    CrossingRangeError,
     NotCutEdgeError,
     NotHomogeneousError,
     NotLoneError,
@@ -149,7 +149,6 @@ def certify(
         trace.append(HypothesisCheck("irreducible", report.is_reduced, report.is_reduced))
         applicable = applicable and report.is_reduced
 
-    sl_max = s_value = chi4 = None
     ws = witness_sl(q, d, crossing_cap)
     sl_max = ws.value
     s_value = sl_max + 1
@@ -159,39 +158,36 @@ def certify(
     sl = diagram_sl(d)
     analysis = seifert_analysis(d)
     idx = ind_all(analysis.graph, vertex_cap)
+    # thm4 and cor_mp need the index; thm1 only loses the gap row below.
+    bounds = None
+    if not idx.size_limited or mode != "thm1":
+        bounds = braid_index_bounds(d, crossing_cap, vertex_cap, idx)
     if mode == "thm1":
         ok = sl_max == sl
         trace.append(HypothesisCheck("SL=sl(D)", {"SL": sl_max, "sl": sl}, ok))
-        applicable = applicable and ok
     elif mode == "thm4":
-        value = sl + 2 * (idx.ind_minus or 0)
+        value = sl + 2 * idx.ind_minus
         ok = sl_max == value
         trace.append(HypothesisCheck("SL=sl(D)+2ind_minus", {"SL": sl_max, "sl+2ind_minus": value}, ok))
-        applicable = applicable and ok
     else:  # cor_mp
-        bounds = braid_index_bounds(d, crossing_cap, vertex_cap, idx)
-        mp_upper = analysis.circle_count - (idx.ind or 0)
+        mp_upper = analysis.circle_count - idx.ind
         ok = bounds.pinned is not None and bounds.pinned == mp_upper
         trace.append(
             HypothesisCheck("b(K)=O(D)-ind(D)", {"pinned": bounds.pinned, "O-ind": mp_upper}, ok)
         )
-        applicable = applicable and ok
+    applicable = applicable and ok
 
     # Gap bound O(D) - b >= O_plus(D) - 1; it needs a homogeneous non-split
     # diagram and a pinned braid index, so it is recorded only then.
-    try:
-        bounds = braid_index_bounds(d, crossing_cap, vertex_cap, idx)
-        if bounds.pinned is not None and report.is_homogeneous and nonsplit:
-            gap_ok = analysis.circle_count - bounds.pinned >= o_plus(d) - 1
-            trace.append(
-                HypothesisCheck(
-                    "gap O-b>=O_plus-1",
-                    {"O": analysis.circle_count, "b": bounds.pinned, "O_plus": o_plus(d)},
-                    gap_ok,
-                )
+    if bounds is not None and bounds.pinned is not None and report.is_homogeneous and nonsplit:
+        op = o_plus(d)
+        trace.append(
+            HypothesisCheck(
+                "gap O-b>=O_plus-1",
+                {"O": analysis.circle_count, "b": bounds.pinned, "O_plus": op},
+                analysis.circle_count - bounds.pinned >= op - 1,
             )
-    except SizeLimitError:
-        pass
+        )
 
     if not applicable:
         status = "NotApplicable"
@@ -213,40 +209,21 @@ def mp_reduce(d: Diagram, crossing_id: int, crossing_cap: int = DEFAULT_CROSSING
     between its two circles and a cut edge of the Seifert graph.
     """
     check_valid(d)
+    if not 0 <= crossing_id < len(d.crossings):
+        raise CrossingRangeError(f"crossing {crossing_id} out of range for {len(d.crossings)} crossings")
     analysis = seifert_analysis(d)
     g = analysis.graph
-    edge = next(e for e in g.edges if e.crossing_id == crossing_id)
+    edge = g.edges[crossing_id]
     mult = g.multiplicity()
     if mult[(min(edge.u, edge.v), max(edge.u, edge.v))] != 1:
         raise NotLoneError(f"crossing {crossing_id} is not a lone crossing")
-    bridge = False
-    for block in blocks(g):
-        if len(block) == 1 and g.edges[block[0]].crossing_id == crossing_id:
-            bridge = True
-    if not bridge:
+    if not any(len(b) == 1 and g.edges[b[0]].crossing_id == crossing_id for b in blocks(g)):
         raise NotCutEdgeError(f"crossing {crossing_id} is not a cut edge of the Seifert graph")
 
     x = d.crossings[crossing_id]
-    dsu = DSU(d.arc_count)
-    dsu.union(x.under_in, x.under_out)
-    dsu.union(x.over_in, x.over_out)
-    used: set[int] = set()
-    kept = []
-    for ci, y in enumerate(d.crossings):
-        if ci == crossing_id:
-            continue
-        arcs = [dsu.find(a) for a in (y.under_in, y.over_in, y.under_out, y.over_out)]
-        used.update(arcs)
-        kept.append((y.sign, arcs))
-    live = sorted(used)
-    relabel = {rep: i for i, rep in enumerate(live)}
-    crossings = tuple(
-        Crossing(sign, relabel[a[0]], relabel[a[1]], relabel[a[2]], relabel[a[3]])
-        for sign, a in kept
-    )
-    all_reps = {dsu.find(a) for a in range(d.arc_count)}
-    orphans = len(all_reps) - len(live)
-    result = check_valid(Diagram(2 * len(crossings), crossings, d.free_loops + orphans))
+    joins = ((x.under_in, x.under_out), (x.over_in, x.over_out))
+    rest = d.crossings[:crossing_id] + d.crossings[crossing_id + 1:]
+    result = check_valid(rebuild(d.arc_count, joins, rest, d.free_loops))
 
     if seifert_analysis(result).circle_count != analysis.circle_count - 1:
         raise NotCutEdgeError("reduction did not merge exactly one circle pair")
@@ -255,19 +232,3 @@ def mp_reduce(d: Diagram, crossing_id: int, crossing_cap: int = DEFAULT_CROSSING
             raise NotCutEdgeError("reduction changed the HOMFLY polynomial")
     return result
 
-
-def certificate_json(cert: Certificate) -> str:
-    return json.dumps(cert.to_json_obj(), sort_keys=True)
-
-
-def bounds_json(b: Bounds) -> str:
-    return json.dumps(
-        {
-            "lower_mfw": b.lower_mfw,
-            "upper_mp": b.upper_mp,
-            "upper_refined": b.upper_refined,
-            "pinned": b.pinned,
-            "lower_omitted": b.lower_omitted,
-        },
-        sort_keys=True,
-    )

@@ -12,8 +12,11 @@ is a path of coherent circles and the braid word is read off by cutting
 each circle compatibly and merging the resulting chains.
 
 The braid word is not canonical; the contract is (strands, writhe,
-link-invariant equality), and the result is verified against the input by
-HOMFLY and component count whenever the crossing count is within the cap.
+link-invariant equality).  The result is verified once, against the input:
+the input's HOMFLY is computed a single time and a candidate word is
+accepted only if its closure has that polynomial and the same component
+count.  This runs whenever the R2-expanded diagram is within the crossing
+cap; above it the word is returned with a "not verified" warning.
 """
 
 from __future__ import annotations
@@ -153,8 +156,12 @@ def _path_order(graph) -> list[int]:
     return order
 
 
-def _read_word(d: Diagram, verify_cap: int) -> BraidWord:
-    analysis = seifert_analysis(d)
+def _read_word(d: Diagram, analysis, target) -> BraidWord:
+    """Read a braid word off coherent ``d``.
+
+    When ``target`` is a HOMFLY polynomial, a ray is accepted only if the
+    closure of its word has that polynomial and ``d``'s component count.
+    """
     n = analysis.circle_count
     if not d.crossings:
         return BraidWord(max(n, 1), ())
@@ -174,10 +181,6 @@ def _read_word(d: Diagram, verify_cap: int) -> BraidWord:
         {a for a, _c in walks[c]} if c in walks else set() for c in order
     ]
     face_sets = [{a for a, _fw in face} for face in _faces(d)]
-
-    target = None
-    if len(d.crossings) <= verify_cap:
-        target = homfly(d, verify_cap)
 
     # Cut all circles along one transversal ray: pick one arc per circle so
     # that consecutive picks share a face; the cut of each circle starts its
@@ -202,7 +205,7 @@ def _read_word(d: Diagram, verify_cap: int) -> BraidWord:
             cand = closure(word)
             if counts(cand).link_components != counts(d).link_components:
                 continue
-            if homfly(cand, verify_cap) != target:
+            if homfly(cand, len(cand.crossings)) != target:
                 continue
         return word
     raise IterationLimitError("could not schedule crossings into a braid word")
@@ -269,31 +272,27 @@ def vogel_braidize(d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> Brai
     current = d
     limit = 4 * (len(d.crossings) + target_o + 2) ** 2 + 16
     moves = 0
-    while True:
-        analysis = seifert_analysis(current)
-        pair = _find_defect(current, analysis.circle_of_arc)
-        if pair is None:
-            break
-        alpha_arc, beta_arc, fwd = pair
-        current = _r2_insert(current, alpha_arc, beta_arc, fwd)
+    while (pair := _find_defect(current, analysis.circle_of_arc)) is not None:
+        current = _r2_insert(current, *pair)
         moves += 1
-        if seifert_analysis(current).circle_count != target_o:
+        analysis = seifert_analysis(current)
+        if analysis.circle_count != target_o:
             raise IterationLimitError("R2 insertion changed the Seifert circle count")
         if counts(current).writhe != target_writhe:
             raise IterationLimitError("R2 insertion changed the writhe")
         if moves > limit:
             raise IterationLimitError(f"no coherent form after {moves} moves")
 
-    verify_cap = crossing_cap
-    if len(current.crossings) > crossing_cap or len(d.crossings) > crossing_cap:
+    # R2 moves keep the link type, so the input's HOMFLY filters the rays
+    # read off the coherent diagram.
+    if len(current.crossings) <= crossing_cap:
+        target = homfly(d, crossing_cap)
+    else:
         warnings.warn("braidization result not verified: crossing cap exceeded")
-        verify_cap = -1
-    word = _read_word(current, verify_cap)
+        target = None
+    word = _read_word(current, analysis, target)
     if word.strands != target_o or word.exponent_sum != target_writhe:
         raise IterationLimitError("braid word does not match O(D) or writhe")
-    if verify_cap >= 0 and len(d.crossings) <= verify_cap:
-        if homfly(closure(word), max(verify_cap, len(word.letters))) != homfly(d, verify_cap):
-            raise IterationLimitError("braid word failed HOMFLY verification")
     return word
 
 

@@ -143,6 +143,35 @@ def _oracle_signed_rec(edges, mode) -> int:
     return best
 
 
+def oracle_min_witness(g: SignedMultigraph, mode: int) -> tuple[int, ...]:
+    """Lexicographically smallest crossing-id sequence among maximum runs.
+
+    Enumerates every legal run on (u, v, sign, crossing_id) edge lists.
+    """
+    return _oracle_best_run([(e.u, e.v, e.sign, e.crossing_id) for e in g.edges], mode)
+
+
+def _oracle_best_run(edges, mode) -> tuple[int, ...]:
+    mult = {}
+    for u, v, _s, _c in edges:
+        key = (min(u, v), max(u, v))
+        mult[key] = mult.get(key, 0) + 1
+    best: tuple[int, ...] = ()
+    for u, v, s, c in edges:
+        if mult[(min(u, v), max(u, v))] != 1 or (mode != 0 and s != mode):
+            continue
+        keep, drop = min(u, v), max(u, v)
+        rest = [
+            (keep if a == drop else a, keep if b == drop else b, t, cid)
+            for a, b, t, cid in edges
+            if {a, b} != {u, v}
+        ]
+        run = (c,) + _oracle_best_run(rest, mode)
+        if (-len(run), run) < (-len(best), best):
+            best = run
+    return best
+
+
 def graph_matrix(g: SignedMultigraph) -> tuple[tuple[int, ...], ...]:
     m = [[0] * g.vertex_count for _ in range(g.vertex_count)]
     for e in g.edges:

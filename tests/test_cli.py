@@ -153,3 +153,44 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "homfly"
+
+
+@pytest.mark.parametrize("crossing", ["99", "-1"])
+def test_reduce_crossing_out_of_range(capsys, crossing):
+    code, out, err = run_cli(
+        capsys, ["reduce", fixture("trefoil.knot"), "--crossing", crossing, "--json"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["thm1", "thm4", "cor_mp"])
+def test_certify_size_limited_index(capsys, mode):
+    # One Seifert-graph vertex allowed: the trefoil's two circles exceed it,
+    # so no index is computed.  Modes that need the index stop with exit 3;
+    # thm1 still certifies, but cannot record the gap row.
+    argv = [
+        "certify",
+        fixture("trefoil.knot"),
+        "--witness",
+        fixture("qp_trefoil.json"),
+        "--mode",
+        mode,
+        "--max-vertices",
+        "1",
+        "--json",
+    ]
+    code, out, err = run_cli(capsys, argv)
+    if mode == "thm1":
+        assert code == 0
+        r = json.loads(out)["result"]
+        assert r["status"] == "Positive"
+        names = [h["name"] for h in r["hypothesis_trace"]]
+        assert "SL=sl(D)" in names
+        assert not any(name.startswith("gap") for name in names)
+    else:
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

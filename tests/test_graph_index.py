@@ -10,6 +10,7 @@ from helpers import (
     graph_matrix,
     oracle_ind,
     oracle_ind_signed,
+    oracle_min_witness,
     random_signed_graph,
 )
 
@@ -105,6 +106,16 @@ def test_witness_replay_is_legal():
         _replay(g, r.witness, r.ind, 0)
         _replay(g, r.witness_plus, r.ind_plus, +1)
         _replay(g, r.witness_minus, r.ind_minus, -1)
+
+
+def test_witness_is_lexicographically_smallest():
+    rng = random.Random(16)
+    for _ in range(150):
+        g = random_signed_graph(rng, max_vertices=6, max_edges=8)
+        r = ind_all(g)
+        for witness, mode in ((r.witness, 0), (r.witness_plus, +1), (r.witness_minus, -1)):
+            ids = tuple(step.crossing_id for step in witness.steps)
+            assert ids == oracle_min_witness(g, mode)
 
 
 def _replay(g, witness, expected_len, mode):

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -8,6 +9,7 @@ from linkdiag import (
     homfly,
     mirror,
     parse_braid,
+    parse_diagram,
     seifert_analysis,
     vogel_braidize,
 )
@@ -83,3 +85,42 @@ def test_mirrored_inputs():
             continue
         seen += 1
         _check_word(d, vogel_braidize(d))
+
+
+# A 3-component link: a 3-strand closure with one component reversed.  Its
+# Seifert circles are incoherent, and braidizing it takes four R2 moves,
+# which bring it from 8 to 16 crossings.
+INCOHERENT_LINK = """arcs:16 loops:0
+X- u_in:1 o_in:2 u_out:4 o_out:3
+X- u_in:3 o_in:6 u_out:5 o_out:0
+X- u_in:7 o_in:5 u_out:6 o_out:8
+X+ u_in:4 o_in:8 u_out:9 o_out:10
+X+ u_in:12 o_in:9 u_out:7 o_out:11
+X- u_in:0 o_in:11 u_out:12 o_out:13
+X+ u_in:10 o_in:13 u_out:14 o_out:15
+X+ u_in:15 o_in:14 u_out:1 o_out:2
+"""
+
+
+def _braidize_recording(d, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        word = vogel_braidize(d, **kwargs)
+    return word, [str(w.message) for w in caught]
+
+
+def test_incoherent_within_cap_is_verified():
+    d = parse_diagram(INCOHERENT_LINK)
+    word, caught = _braidize_recording(d)
+    assert caught == []
+    assert len(word.letters) == 16
+    _check_word(d, word)
+    assert counts(closure(word)).link_components == counts(d).link_components == 3
+
+
+def test_incoherent_above_cap_warns_not_verified():
+    d = parse_diagram(INCOHERENT_LINK)
+    word, caught = _braidize_recording(d, crossing_cap=15)
+    assert caught == ["braidization result not verified: crossing cap exceeded"]
+    assert word.strands == seifert_analysis(d).circle_count == 5
+    assert word.exponent_sum == counts(d).writhe == 0
