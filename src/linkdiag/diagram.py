@@ -20,12 +20,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AmbiguousOrientation, DiagramSyntaxError, InvariantError
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     sign: int
     under_in: int
     over_in: int
@@ -113,7 +113,8 @@ def validate(d: Diagram) -> ValidationReport:
     issues = []
     if d.arc_count < 0 or d.free_loops < 0:
         issues.append(("negative-count", "arc_count and free_loops must be nonnegative", None))
-    if d.arc_count != 2 * len(d.crossings):
+    arc_count_ok = d.arc_count == 2 * len(d.crossings)
+    if not arc_count_ok:
         issues.append(
             ("arc-count", f"arc_count={d.arc_count} but diagram has {len(d.crossings)} crossings", None)
         )
@@ -129,7 +130,10 @@ def validate(d: Diagram) -> ValidationReport:
             ins[a] = ins.get(a, 0) + 1
         for a in x.out_slots():
             outs[a] = outs.get(a, 0) + 1
-    for a in range(d.arc_count):
+    # The per-arc checks run over the declared arc count, which is read from
+    # the input; after an arc-count issue they would only repeat it, once
+    # per arc.
+    for a in range(d.arc_count if arc_count_ok else 0):
         if ins.get(a, 0) != 1:
             issues.append(("in-slot", f"arc {a} occurs {ins.get(a, 0)} times as an in-slot", a))
         if outs.get(a, 0) != 1:

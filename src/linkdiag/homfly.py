@@ -10,7 +10,14 @@ delta = (v^-1 - v)/z.
 Termination uses the descending-diagram strategy: components are ordered
 by smallest arc id and traversed from their smallest arc; the first
 crossing whose first pass is on the under-strand is switched (branch 1)
-and smoothed (branch 2).  Descending diagrams are unlinks.
+and smoothed (branch 2).  Descending diagrams are unlinks.  The same
+traversal counts the link components, so a leaf needs no second pass.
+
+Different branches often reach the same subdiagram, so each top-level
+:func:`homfly` call keeps a memo keyed on the exact ``Diagram`` (arc ids,
+crossings and free loops) and evaluates each subdiagram once.  The memo
+is created per call and dropped when it returns: nothing is cached across
+calls, so memory does not grow with the number of diagrams seen.
 """
 
 from __future__ import annotations
@@ -43,35 +50,42 @@ class DegreeReport:
     eq2_tight: bool
 
 
-def _first_discordant(d: Diagram) -> int | None:
-    """Index of the first crossing whose first pass is on the under-strand.
+def _first_discordant(d: Diagram) -> tuple[int | None, int]:
+    """First crossing whose first pass is on the under-strand, and the link
+    component count.
 
     Passes are ordered by traversing components (ordered by smallest arc)
-    from their smallest arc along orientation.
+    from their smallest arc along orientation.  The walk covers every
+    component, so the count (free loops included) comes with it.
     """
-    in_slot: dict[int, tuple[int, bool]] = {}
-    for ci, x in enumerate(d.crossings):
-        in_slot[x.under_in] = (ci, True)
-        in_slot[x.over_in] = (ci, False)
-    seen_arcs: set[int] = set()
-    first_pass_under: dict[int, bool] = {}
-    order: list[int] = []
-    for start in range(d.arc_count):
-        if start in seen_arcs:
+    crossings = d.crossings
+    n = d.arc_count
+    in_crossing = [0] * n
+    in_under = [False] * n
+    for ci, x in enumerate(crossings):
+        in_crossing[x.under_in] = ci
+        in_under[x.under_in] = True
+        in_crossing[x.over_in] = ci
+    seen = [False] * n
+    visited = [False] * len(crossings)
+    found = None
+    components = d.free_loops
+    for start in range(n):
+        if seen[start]:
             continue
+        components += 1
         a = start
-        while a not in seen_arcs:
-            seen_arcs.add(a)
-            ci, under = in_slot[a]
-            if ci not in first_pass_under:
-                first_pass_under[ci] = under
-                order.append(ci)
-            x = d.crossings[ci]
+        while not seen[a]:
+            seen[a] = True
+            ci = in_crossing[a]
+            under = in_under[a]
+            if not visited[ci]:
+                visited[ci] = True
+                if under and found is None:
+                    found = ci
+            x = crossings[ci]
             a = x.under_out if under else x.over_out
-    for ci in order:
-        if first_pass_under[ci]:
-            return ci
-    return None
+    return found, components
 
 
 def _switch(d: Diagram, ci: int) -> Diagram:
@@ -88,20 +102,26 @@ def _smooth(d: Diagram, ci: int) -> Diagram:
     return rebuild(d.arc_count, joins, d.crossings[:ci] + d.crossings[ci + 1:], d.free_loops)
 
 
-def _homfly_rec(d: Diagram) -> LaurentPoly2:
-    ci = _first_discordant(d)
+def _homfly_rec(d: Diagram, memo: dict[Diagram, LaurentPoly2]) -> LaurentPoly2:
+    p = memo.get(d)
+    if p is not None:
+        return p
+    ci, comps = _first_discordant(d)
     if ci is None:
-        comps = counts(d).link_components
         if comps == 0:
             raise ZeroPolynomialError("empty diagram has no HOMFLY normalization")
-        return DELTA ** (comps - 1)
-    switched = _switch(d, ci)
-    smoothed = _smooth(d, ci)
-    if d.crossings[ci].sign > 0:
-        # P+ = v^2 P- + v z P0
-        return _V2 * _homfly_rec(switched) + _VZ * _homfly_rec(smoothed)
-    # P- = v^-2 P+ - v^-1 z P0
-    return _VINV2 * _homfly_rec(switched) - _VINVZ * _homfly_rec(smoothed)
+        p = DELTA ** (comps - 1)
+    else:
+        switched = _homfly_rec(_switch(d, ci), memo)
+        smoothed = _homfly_rec(_smooth(d, ci), memo)
+        if d.crossings[ci].sign > 0:
+            # P+ = v^2 P- + v z P0
+            p = _V2 * switched + _VZ * smoothed
+        else:
+            # P- = v^-2 P+ - v^-1 z P0
+            p = _VINV2 * switched - _VINVZ * smoothed
+    memo[d] = p
+    return p
 
 
 def homfly(d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly2:
@@ -110,12 +130,14 @@ def homfly(d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly2
         raise SizeLimitError(
             f"{len(d.crossings)} crossings exceeds HOMFLY cap {crossing_cap}"
         )
-    return _homfly_rec(d)
+    return _homfly_rec(d, {})
 
 
 def degree_report(p: LaurentPoly2, d: Diagram, idx: IndexReport) -> DegreeReport:
     if p.is_zero():
         raise ZeroPolynomialError("degree report of zero polynomial")
+    if idx.size_limited:
+        raise SizeLimitError("Seifert graph exceeds the index vertex cap")
     analysis = seifert_analysis(d)
     c = counts(d)
     sl = -analysis.circle_count + c.writhe
@@ -123,8 +145,8 @@ def degree_report(p: LaurentPoly2, d: Diagram, idx: IndexReport) -> DegreeReport
     span = max_v - min_v
     if span % 2:
         raise ZeroPolynomialError(f"odd v-span {span}; not a link polynomial")
-    lower1 = sl + 1 + 2 * (idx.ind_minus or 0)
-    upper2 = analysis.circle_count + c.writhe - 1 - 2 * (idx.ind_plus or 0)
+    lower1 = sl + 1 + 2 * idx.ind_minus
+    upper2 = analysis.circle_count + c.writhe - 1 - 2 * idx.ind_plus
     return DegreeReport(
         min_deg_v=min_v,
         max_deg_v=max_v,

@@ -2,7 +2,9 @@
 
 The oracles here are deliberately naive: the index oracle enumerates raw
 move sequences with no memoization or pruning, so it shares no code path
-with the engine it checks.
+with the engine it checks.  The HOMFLY oracle runs the skein recursion
+with no memo, from the other end of each diagram, and counts leaf
+components with ``counts``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from linkdiag import BraidWord, Diagram, closure, parse_braid
+from linkdiag import DELTA, BraidWord, Diagram, LaurentPoly2, closure, counts, parse_braid
+from linkdiag.diagram import Crossing, rebuild
 from linkdiag.seifert import GraphEdge, SignedMultigraph
 
 # --- fixture diagrams --------------------------------------------------
@@ -81,6 +84,49 @@ def random_diagram(rng: random.Random, max_crossings: int = 8) -> Diagram:
     n = rng.randint(2, 4)
     length = rng.randint(1, max_crossings)
     return closure(random_word(rng, n, length))
+
+
+# --- independent HOMFLY oracle -----------------------------------------
+
+def oracle_homfly(d: Diagram) -> LaurentPoly2:
+    """HOMFLY by unmemoized skein recursion with its own basepoints.
+
+    Components are ordered by largest arc id and walked from that arc; the
+    first crossing first passed on its under-strand is switched and
+    smoothed.  Descending leaves are unlinks, counted with ``counts``.
+    """
+    ci = _oracle_discordant(d)
+    if ci is None:
+        return DELTA ** (counts(d).link_components - 1)
+    x = d.crossings[ci]
+    rest = d.crossings[:ci] + d.crossings[ci + 1:]
+    flipped = Crossing(-x.sign, x.over_in, x.under_in, x.over_out, x.under_out)
+    switched = Diagram(d.arc_count, d.crossings[:ci] + (flipped,) + d.crossings[ci + 1:], d.free_loops)
+    smoothed = rebuild(d.arc_count, ((x.under_in, x.over_out), (x.over_in, x.under_out)), rest, d.free_loops)
+    # v^-1 P(L+) - v P(L-) = z P(L0), solved for the crossing's own sign.
+    s = x.sign
+    return (
+        LaurentPoly2.monomial(1, 2 * s, 0) * oracle_homfly(switched)
+        + LaurentPoly2.monomial(s, s, 1) * oracle_homfly(smoothed)
+    )
+
+
+def _oracle_discordant(d: Diagram):
+    step = {}
+    for ci, x in enumerate(d.crossings):
+        step[x.under_in] = (ci, True, x.under_out)
+        step[x.over_in] = (ci, False, x.over_out)
+    seen, passed = set(), set()
+    for start in range(d.arc_count - 1, -1, -1):
+        a = start
+        while a not in seen:
+            seen.add(a)
+            ci, under, a = step[a]
+            if ci not in passed:
+                if under:
+                    return ci
+                passed.add(ci)
+    return None
 
 
 # --- independent index oracle ------------------------------------------

@@ -100,6 +100,17 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_huge_declared_arc_count_is_one_error(tmp_path, capsys):
+    # The per-arc checks must not run over a declared count with no
+    # crossings behind it.
+    path = tmp_path / "huge.knot"
+    path.write_text("arcs:99999999999 loops:0")
+    code, out, err = run_cli(capsys, ["analyze", str(path), "--json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: arc-count") and err.count("\n") == 1
+
+
 def test_exit_code_missing_file(capsys):
     code, _out, err = run_cli(capsys, ["analyze", "/nonexistent/f.knot"])
     assert code == 2

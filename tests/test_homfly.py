@@ -18,7 +18,7 @@ from linkdiag.diagram import Crossing, Diagram
 from linkdiag.errors import SizeLimitError
 from linkdiag.homfly import _smooth, _switch
 
-from helpers import fixture_diagrams, random_diagram, random_word
+from helpers import fixture_diagrams, oracle_homfly, random_diagram, random_word
 
 TREFOIL_P = LaurentPoly2({(2, 0): 2, (4, 0): -1, (2, 2): 1})
 HOPF_P = LaurentPoly2({(1, 1): 1, (1, -1): 1, (3, -1): -1})
@@ -102,22 +102,43 @@ def test_mirror_substitution():
         assert homfly(mirror(d)) == homfly(d).substitute_v_neg_inv()
 
 
+def _split_union(d1: Diagram, d2: Diagram, extra_loops: int = 0) -> Diagram:
+    shift = d1.arc_count
+    return Diagram(
+        d1.arc_count + d2.arc_count,
+        d1.crossings
+        + tuple(
+            Crossing(x.sign, x.under_in + shift, x.over_in + shift, x.under_out + shift, x.over_out + shift)
+            for x in d2.crossings
+        ),
+        d1.free_loops + d2.free_loops + extra_loops,
+    )
+
+
 def test_split_union_multiplicativity():
     rng = random.Random(74)
     for _ in range(40):
         d1 = random_diagram(rng, 4)
         d2 = random_diagram(rng, 4)
-        shift = d1.arc_count
-        merged = Diagram(
-            d1.arc_count + d2.arc_count,
-            d1.crossings
-            + tuple(
-                Crossing(x.sign, x.under_in + shift, x.over_in + shift, x.under_out + shift, x.over_out + shift)
-                for x in d2.crossings
-            ),
-            d1.free_loops + d2.free_loops,
-        )
-        assert homfly(merged) == DELTA * homfly(d1) * homfly(d2)
+        assert homfly(_split_union(d1, d2)) == DELTA * homfly(d1) * homfly(d2)
+
+
+def test_matches_unmemoized_oracle():
+    rng = random.Random(77)
+    cases = [random_diagram(rng, 9) for _ in range(80)]
+    cases += [_split_union(random_diagram(rng, 4), random_diagram(rng, 4), rng.randint(0, 2)) for _ in range(30)]
+    cases += [closure(parse_braid("braid n=2: " + "1 " * q)) for q in range(1, 11)]
+    cases += [closure(parse_braid("braid n=3: " + "1 2 " * q)) for q in range(1, 5)]
+    for d in cases:
+        assert homfly(d) == oracle_homfly(d)
+
+
+def test_no_state_survives_a_call():
+    fx = fixture_diagrams()
+    a, b = fx["torus_3_5"], fx["figure_eight"]
+    first = homfly(a).triples()
+    homfly(b)
+    assert homfly(a).triples() == first
 
 
 def test_degree_report_trefoil():
@@ -148,6 +169,14 @@ def test_degree_report_figure_eight():
     rep = degree_report(homfly(d), d, idx)
     assert rep.v_span == 4
     assert rep.mfw_lower == 3
+
+
+def test_degree_report_rejects_size_limited_index():
+    d = closure(parse_braid("braid n=3: 1 -2 1 -2"))
+    idx = ind_all(seifert_analysis(d).graph, 1)
+    assert idx.size_limited
+    with pytest.raises(SizeLimitError):
+        degree_report(homfly(d), d, idx)
 
 
 def test_inequalities_on_random_corpus():

@@ -85,6 +85,24 @@ def test_witness_sl_component_mismatch():
         witness_sl(q, fx["trefoil"])
 
 
+def test_witness_sl_skips_homfly_for_its_own_closure(monkeypatch):
+    from linkdiag import theorems
+
+    calls = []
+
+    def counting_homfly(d, crossing_cap):
+        calls.append(d)
+        return homfly(d, crossing_cap)
+
+    monkeypatch.setattr(theorems, "homfly", counting_homfly)
+    q = QPWitness(2, tuple(QPFactor((), 1) for _ in range(3)))
+    ws = witness_sl(q, closure(expand_witness(q)))
+    assert (ws.value, ws.verified, len(calls)) == (1, True, 0)
+    # The kinked trefoil is the same knot on another diagram.
+    ws = witness_sl(q, fixture_diagrams()["trefoil_neg_kink"])
+    assert (ws.value, ws.verified, len(calls)) == (1, True, 2)
+
+
 def test_bounds_fixtures():
     fx = fixture_diagrams()
     b = braid_index_bounds(fx["trefoil"])
