@@ -9,38 +9,61 @@ to opposite-sign edges is never reducible).  On homogeneous graphs, where
 parallel edges always share a sign, this agrees with computing the index
 of the one-sign spanning subgraph.
 
-Values are exact, found by exhaustive search with memoization keyed on a
-deterministic relabeling of the signed multiplicity matrix (identical keys
-imply identical graphs, so a missed isomorphic merge only costs time,
-never correctness).  Witnesses are replayed on the search's own matrices
-and contraction, so the replay shares the search memo.
+Values are exact, found by exhaustive search over a matrix with one of
+three entries per vertex pair: no edge, a movable lone edge, or blocked.
+Multiplicities never fall under contraction, so a pair with two or more
+edges can never become lone again, and a lone edge of the wrong sign for
+the mode can never be moved; both collapse to the one blocked entry.  The
+mode only decides how the first matrix is built, so one memo serves all
+three modes.
+
+The search is a sum over biconnected blocks (the *-product additivity of
+Murasugi & Przytycki, Mem. AMS 508, 1993).  Contracting a lone ``a-b``
+edge only merges the pairs ``(a, w)`` and ``(b, w)``, and such a ``w``
+lies in the block of ``a-b``, so a move in one block never changes which
+pairs are movable in another.  A bridge counts 1 when movable and 0
+otherwise; any larger block is searched over its movable pairs, and each
+contracted block goes back through the block sum.  A block's search
+stops once it reaches the rank of the forest spanned by its movable
+pairs: contraction never creates a lone pair, so every run contracts a
+forest of them.
+
+Results are memoized per call, keyed on a deterministic relabeling of the
+matrix (identical keys imply isomorphic matrices, so a missed merge only
+costs time, never correctness).  The value of a matrix does not depend
+on how the search finds it, so witnesses, replayed greedily on the full
+matrix with the smallest crossing id first, are the lexicographically
+smallest maximum runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .seifert import SignedMultigraph
+from .diagram import DSU
+from .seifert import SignedMultigraph, biconnected_blocks
 
 DEFAULT_VERTEX_CAP = 14
 
-# Entry (p, q): number of positive / negative parallel edges for the pair.
-Matrix = tuple[tuple[tuple[int, int], ...], ...]
+# Matrix entries: no edge, a lone edge movable in the mode, or blocked.
+NONE, MOVABLE, BLOCKED = 0, 1, 2
+Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessStep:
     crossing_id: int
     sign: int
     merged: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionWitness:
     steps: tuple[WitnessStep, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexReport:
     ind: int | None
     ind_plus: int | None
@@ -51,74 +74,77 @@ class IndexReport:
     size_limited: bool = False
 
 
-def _matrix(g: SignedMultigraph) -> Matrix:
-    n = g.vertex_count
-    m = [[[0, 0] for _ in range(n)] for _ in range(n)]
+def _matrix(g: SignedMultigraph, mode: int) -> Matrix:
+    """Mode 0 moves any lone edge, +1/-1 only lone edges of that sign."""
+    m = [[NONE] * g.vertex_count for _ in range(g.vertex_count)]
     for e in g.edges:
-        slot = 0 if e.sign > 0 else 1
-        m[e.u][e.v][slot] += 1
-        m[e.v][e.u][slot] += 1
-    return tuple(tuple((p, q) for p, q in row) for row in m)
+        entry = MOVABLE if not m[e.u][e.v] and mode in (0, e.sign) else BLOCKED
+        m[e.u][e.v] = m[e.v][e.u] = entry
+    return tuple(map(tuple, m))
 
 
 def _contract(m: Matrix, a: int, b: int) -> Matrix:
-    """Contract the unique a-b edge, merging b into a."""
-    n = len(m)
-    keep = [v for v in range(n) if v != b]
+    """Contract the lone a-b edge (a < b), merging b into a."""
+    row_a, row_b = m[a], m[b]
+    merged = [x + y if x + y < BLOCKED else BLOCKED for x, y in zip(row_a, row_b)]
+    merged[a] = NONE
+    del merged[b]
     out = []
-    for v in keep:
-        row = []
-        for w in keep:
-            if v == w:
-                row.append((0, 0))
-            else:
-                p, q = m[v][w]
-                if v == a:
-                    p += m[b][w][0]
-                    q += m[b][w][1]
-                if w == a:
-                    p += m[v][b][0]
-                    q += m[v][b][1]
-                row.append((p, q))
-        out.append(tuple(row))
+    for v, row in enumerate(m):
+        if v == a:
+            out.append(tuple(merged))
+        elif v != b:
+            out.append(row[:a] + (merged[v - (v > b)],) + row[a + 1 : b] + row[b + 1 :])
     return tuple(out)
 
 
 def _memo_key(m: Matrix) -> Matrix:
-    order = sorted(range(len(m)), key=lambda v: (sorted(m[v]), m[v]))
-    return tuple(tuple(m[v][w] for w in order) for v in order)
+    rank = [(row.count(MOVABLE), row.count(BLOCKED), row) for row in m]
+    order = sorted(range(len(m)), key=rank.__getitem__)
+    if len(order) < 2:  # itemgetter returns a tuple only for two or more items
+        return m
+    pick = itemgetter(*order)
+    return tuple(pick(m[v]) for v in order)
 
 
-def _movable(m: Matrix, a: int, b: int, mode: int) -> bool:
-    p, q = m[a][b]
-    if p + q != 1:
-        return False
-    if mode > 0:
-        return p == 1
-    if mode < 0:
-        return q == 1
-    return True
+Memo = dict[Matrix, int]
 
 
-Memo = dict[tuple[int, Matrix], int]
-
-
-def _ind_matrix(m: Matrix, mode: int, memo: Memo) -> int:
-    key = (mode, _memo_key(m))
+def _ind_matrix(m: Matrix, memo: Memo) -> int:
+    key = _memo_key(m)
     cached = memo.get(key)
     if cached is not None:
         return cached
     n = len(m)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if m[a][b]]
+    blocks = biconnected_blocks(n, pairs)
+    if len(blocks) == 1 and len(pairs) > 1 and all(any(row) for row in m):
+        value = _search_block(m, pairs, memo)
+    else:
+        value = 0
+        for block in blocks:
+            if len(block) == 1:
+                a, b = pairs[block[0]]
+                value += m[a][b] == MOVABLE
+            else:
+                keep = sorted({v for i in block for v in pairs[i]})
+                value += _ind_matrix(tuple(tuple(m[v][w] for w in keep) for v in keep), memo)
+    memo[key] = value
+    return value
+
+
+def _search_block(m: Matrix, pairs: list[tuple[int, int]], memo: Memo) -> int:
+    """Index of one biconnected block, by search over its first moves."""
+    moves = [(a, b) for a, b in pairs if m[a][b] == MOVABLE]
+    forest = DSU(len(m))
+    for a, b in moves:
+        forest.union(a, b)
+    bound = len(m) - len({forest.find(v) for v in range(len(m))})
     best = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            if _movable(m, a, b, mode):
-                best = max(best, 1 + _ind_matrix(_contract(m, a, b), mode, memo))
-                if best == n - 1:
-                    break
-        if best == n - 1:
+    for a, b in moves:
+        if best == bound:
             break
-    memo[key] = best
+        best = max(best, 1 + _ind_matrix(_contract(m, a, b), memo))
     return best
 
 
@@ -126,16 +152,19 @@ def ind_value(g: SignedMultigraph, mode: int = 0, memo: Memo | None = None) -> i
     """Exact index; mode 0 allows any lone edge, +1/-1 restrict by sign."""
     if memo is None:
         memo = {}
-    return _ind_matrix(_matrix(g), mode, memo)
+    return _ind_matrix(_matrix(g, mode), memo)
 
 
-def _witness(g: SignedMultigraph, mode: int, total: int, memo: Memo) -> ReductionWitness:
+def _witness(
+    g: SignedMultigraph, m: Matrix, total: int, memo: Memo, shared: dict[WitnessStep, WitnessStep]
+) -> ReductionWitness:
     """Lexicographically smallest crossing-id sequence among maximum runs.
 
     Replays the search on its own matrices: each step contracts the
     smallest-id lone edge whose contraction keeps the remaining value.
+    Equal steps of the three witnesses of one report are one object in
+    ``shared``, which cuts the memory of a retained report by a quarter.
     """
-    m = _matrix(g)
     labels = list(range(g.vertex_count))  # matrix row -> smallest original vertex in it
     row = list(range(g.vertex_count))  # original vertex -> matrix row
     edges = sorted(g.edges, key=lambda e: e.crossing_id)
@@ -143,13 +172,14 @@ def _witness(g: SignedMultigraph, mode: int, total: int, memo: Memo) -> Reductio
     for remaining in range(total, 0, -1):
         for e in edges:
             a, b = sorted((row[e.u], row[e.v]))
-            if a != b and _movable(m, a, b, mode):
+            if a != b and m[a][b] == MOVABLE:
                 contracted = _contract(m, a, b)
-                if _ind_matrix(contracted, mode, memo) == remaining - 1:
+                if _ind_matrix(contracted, memo) == remaining - 1:
                     break
         else:
             raise AssertionError("witness reconstruction diverged from ind search")
-        steps.append(WitnessStep(e.crossing_id, e.sign, (labels[a], labels[b])))
+        step = WitnessStep(e.crossing_id, e.sign, (labels[a], labels[b]))
+        steps.append(shared.setdefault(step, step))
         m = contracted
         del labels[b]
         row = [a if r == b else r - (r > b) for r in row]
@@ -160,17 +190,13 @@ def ind_all(g: SignedMultigraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> IndexR
     if g.vertex_count > vertex_cap:
         return IndexReport(None, None, None, None, None, None, size_limited=True)
     memo: Memo = {}
-    ind = ind_value(g, 0, memo)
-    ind_p = ind_value(g, +1, memo)
-    ind_m = ind_value(g, -1, memo)
-    return IndexReport(
-        ind=ind,
-        ind_plus=ind_p,
-        ind_minus=ind_m,
-        witness=_witness(g, 0, ind, memo),
-        witness_plus=_witness(g, +1, ind_p, memo),
-        witness_minus=_witness(g, -1, ind_m, memo),
-    )
+    shared: dict[WitnessStep, WitnessStep] = {}
+    values, witnesses = [], []
+    for mode in (0, +1, -1):
+        m = _matrix(g, mode)
+        values.append(_ind_matrix(m, memo))
+        witnesses.append(_witness(g, m, values[-1], memo, shared))
+    return IndexReport(*values, *witnesses)
 
 
 def dhl_check(g: SignedMultigraph) -> tuple[bool, list[tuple[int, int]]]:

@@ -14,7 +14,7 @@ from .diagram import DSU, Diagram, check_valid, counts
 from .errors import InvariantError, LoopEdgeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphEdge:
     u: int
     v: int
@@ -22,13 +22,23 @@ class GraphEdge:
     crossing_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedMultigraph:
     vertex_count: int
     edges: tuple[GraphEdge, ...]
 
     def __post_init__(self):
+        if not isinstance(self.vertex_count, int) or self.vertex_count < 0:
+            raise InvariantError(f"vertex count must be a non-negative integer: {self.vertex_count!r}")
+        crossing_ids = set()
         for e in self.edges:
+            if not all(isinstance(x, int) for x in (e.u, e.v, e.sign, e.crossing_id)):
+                raise InvariantError(f"edge fields must be integers: {e}")
+            if e.sign not in (1, -1):
+                raise InvariantError(f"edge sign must be +1 or -1 (crossing {e.crossing_id}): {e.sign}")
+            if e.crossing_id in crossing_ids:
+                raise InvariantError(f"duplicate crossing id {e.crossing_id}")
+            crossing_ids.add(e.crossing_id)
             if e.u == e.v:
                 raise InvariantError(f"loop edge at vertex {e.u} (crossing {e.crossing_id})")
             if not (0 <= e.u < self.vertex_count and 0 <= e.v < self.vertex_count):
@@ -52,15 +62,21 @@ def graph_from_edge_list(text: str) -> SignedMultigraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
     if not lines or not lines[0].startswith("vertices:"):
         raise InvariantError("edge list must start with 'vertices:<n>'")
-    n = int(lines[0].split(":", 1)[1])
+    n = _int_field(lines[0].split(":", 1)[1], lines[0])
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 4:
             raise InvariantError(f"bad edge line: {ln!r}")
-        u, v, sign, cid = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
-        edges.append(GraphEdge(u, v, sign, cid))
+        edges.append(GraphEdge(*(_int_field(part, ln) for part in parts)))
     return SignedMultigraph(n, tuple(edges))
+
+
+def _int_field(text: str, line: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvariantError(f"non-integer field {text.strip()!r} in line {line!r}") from None
 
 
 @dataclass(frozen=True)
@@ -136,54 +152,52 @@ def blocks(g: SignedMultigraph) -> list[tuple[int, ...]]:
     Parallel edges land in a common block; a bridge forms a block of its
     own.  Isolated vertices belong to no block.
     """
-    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.vertex_count)}
-    for ei, e in enumerate(g.edges):
-        adjacency[e.u].append((e.v, ei))
-        adjacency[e.v].append((e.u, ei))
+    return biconnected_blocks(g.vertex_count, [(e.u, e.v) for e in g.edges])
 
-    visited = [False] * g.vertex_count
-    depth = [0] * g.vertex_count
-    low = [0] * g.vertex_count
+
+def biconnected_blocks(vertex_count: int, ends: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Blocks of the loop-free multigraph whose edge i joins ``ends[i]``.
+
+    One iterative Tarjan DFS; each block is a sorted tuple of edge indices.
+    """
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    for ei, (u, v) in enumerate(ends):
+        adjacency[u].append((v, ei))
+        adjacency[v].append((u, ei))
+
+    depth = [-1] * vertex_count
+    low = [0] * vertex_count
     result: list[tuple[int, ...]] = []
 
-    for root in range(g.vertex_count):
-        if visited[root] or not adjacency[root]:
+    for root in range(vertex_count):
+        if depth[root] >= 0 or not adjacency[root]:
             continue
+        depth[root] = 0
         edge_stack: list[int] = []
-        # Iterative DFS: frames of (vertex, parent_edge, adjacency iterator).
-        stack = [(root, -1, iter(adjacency[root]))]
-        visited[root] = True
-        depth[root] = low[root] = 0
+        # Frames of (vertex, parent edge, adjacency iterator, edge-stack
+        # height below the parent edge).
+        stack = [(root, -1, iter(adjacency[root]), 0)]
         while stack:
-            v, parent_edge, it = stack[-1]
-            advanced = False
+            v, parent_edge, it, height = stack[-1]
             for w, ei in it:
-                if ei == parent_edge:
-                    continue
-                if not visited[w]:
+                if depth[w] < 0:
+                    stack.append((w, ei, iter(adjacency[w]), len(edge_stack)))
                     edge_stack.append(ei)
-                    visited[w] = True
                     depth[w] = low[w] = depth[v] + 1
-                    stack.append((w, ei, iter(adjacency[w])))
-                    advanced = True
                     break
-                elif depth[w] < depth[v]:
+                if depth[w] < depth[v] and ei != parent_edge:
                     edge_stack.append(ei)
-                    low[v] = min(low[v], depth[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= depth[pv]:
-                    block: list[int] = []
-                    while edge_stack:
-                        ei = edge_stack.pop()
-                        block.append(ei)
-                        if ei == parent_edge:
-                            break
-                    result.append(tuple(sorted(block)))
+                    if depth[w] < low[v]:
+                        low[v] = depth[w]
+            else:
+                stack.pop()
+                if stack:
+                    pv = stack[-1][0]
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
+                    if low[v] >= depth[pv]:
+                        result.append(tuple(sorted(edge_stack[height:])))
+                        del edge_stack[height:]
     return result
 
 

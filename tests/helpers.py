@@ -279,3 +279,63 @@ def random_signed_graph(rng: random.Random, max_vertices: int = 6, max_edges: in
         a, b = rng.sample(range(n), 2)
         edges.append(GraphEdge(min(a, b), max(a, b), rng.choice([1, -1]), cid))
     return SignedMultigraph(n, tuple(edges))
+
+
+# Block shapes that split under contraction: contracting the chord of the
+# 4-cycle, or both edges of one path of the theta graph, leaves two
+# parallel-only pairs.
+CYCLE4_CHORD = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
+THETA = ((0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1))
+
+
+def _random_block(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A biconnected block on at most 5 vertices, as (vertex count, pairs)."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        return 4, list(CYCLE4_CHORD)
+    if shape == 1:
+        return 5, list(THETA)
+    if shape == 2:  # one vertex pair with 1-3 parallel edges
+        return 2, [(0, 1)] * rng.randint(1, 3)
+    k = rng.randint(3, 5)
+    pairs = [(i, (i + 1) % k) for i in range(k)]
+    for _ in range(rng.randint(0, 3)):
+        pairs.append(tuple(rng.sample(range(k), 2)))
+    return k, pairs
+
+
+def glued_block_graph(rng: random.Random, max_vertices: int = 12):
+    """A signed multigraph of 8..max_vertices vertices with known blocks.
+
+    Glues 2-4 random blocks of at most 5 vertices at cut vertices, then
+    hangs pendant bridges until the vertex count is reached; vertices and
+    crossing ids are shuffled.  Returns ``(graph, blocks)`` with each block
+    a list of crossing ids, built without any block finder.
+    """
+    while True:
+        n, pieces = 1, []
+        for _ in range(rng.randint(2, 4)):
+            k, pairs = _random_block(rng)
+            if n + k - 1 > max_vertices:
+                break
+            cut = rng.randrange(n)
+            label = [cut] + list(range(n, n + k - 1))
+            pieces.append([(label[a], label[b]) for a, b in pairs])
+            n += k - 1
+        if len(pieces) >= 2:
+            break
+    for v in range(n, rng.randint(max(n, 8), max(n, max_vertices))):
+        pieces.append([(rng.randrange(v), v)])
+        n = v + 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    ids = list(range(sum(len(p) for p in pieces)))
+    rng.shuffle(ids)
+    edges, blocks = [], []
+    for piece in pieces:
+        blocks.append([])
+        for a, b in piece:
+            cid = ids[len(edges)]
+            edges.append(GraphEdge(perm[a], perm[b], rng.choice([1, -1]), cid))
+            blocks[-1].append(cid)
+    return SignedMultigraph(n, tuple(edges)), blocks

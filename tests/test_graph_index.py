@@ -6,6 +6,7 @@ from linkdiag.seifert import GraphEdge, SignedMultigraph, blocks
 
 from helpers import (
     braid_corpus_small,
+    glued_block_graph,
     graph_from_matrix,
     graph_matrix,
     oracle_ind,
@@ -168,6 +169,51 @@ def test_block_additivity_oracle():
             )
             total += oracle_ind(graph_matrix(sub))
         assert ind_value(g) == total
+
+
+def _sub_graph(g, crossing_ids):
+    sub_edges = [e for e in g.edges if e.crossing_id in set(crossing_ids)]
+    verts = sorted({v for e in sub_edges for v in (e.u, e.v)})
+    relabel = {v: i for i, v in enumerate(verts)}
+    return SignedMultigraph(
+        len(verts),
+        tuple(GraphEdge(relabel[e.u], relabel[e.v], e.sign, e.crossing_id) for e in sub_edges),
+    )
+
+
+def test_glued_blocks_sum_and_witnesses():
+    rng = random.Random(17)
+    for _ in range(40):
+        g, glued = glued_block_graph(rng)
+        r = ind_all(g)
+        for value, witness, mode in (
+            (r.ind, r.witness, 0),
+            (r.ind_plus, r.witness_plus, +1),
+            (r.ind_minus, r.witness_minus, -1),
+        ):
+            assert value == sum(oracle_ind_signed(_sub_graph(g, ids), mode) for ids in glued)
+            _replay(g, witness, value, mode)
+
+
+def test_glued_blocks_witness_is_lexicographically_smallest():
+    rng = random.Random(18)
+    for _ in range(12):
+        g, _glued = glued_block_graph(rng, max_vertices=8)
+        r = ind_all(g)
+        for witness, mode in ((r.witness, 0), (r.witness_plus, +1), (r.witness_minus, -1)):
+            ids = tuple(step.crossing_id for step in witness.steps)
+            assert ids == oracle_min_witness(g, mode)
+
+
+def test_vertex_cap_counts_whole_graph():
+    # Every block of a path is a bridge, yet the cap still counts all
+    # fifteen vertices.
+    path = path_graph([1] * 14)
+    assert ind_all(path).size_limited
+    r = ind_all(path, vertex_cap=15)
+    assert not r.size_limited
+    assert (r.ind, r.ind_plus, r.ind_minus) == (14, 14, 0)
+    assert [s.crossing_id for s in r.witness.steps] == list(range(14))
 
 
 def test_mirror_swaps_sign_indices():

@@ -15,7 +15,8 @@ from linkdiag import (
     seifert_analysis,
 )
 from linkdiag.diagram import Crossing, Diagram
-from linkdiag.errors import LoopEdgeError
+from linkdiag.errors import InvariantError, LoopEdgeError
+from linkdiag.seifert import GraphEdge, SignedMultigraph
 
 from helpers import braid_corpus_small, fixture_diagrams, random_word
 
@@ -205,3 +206,38 @@ def test_edge_list_round_trip():
     g = seifert_analysis(d).graph
     g2 = graph_from_edge_list(g.to_edge_list())
     assert g2 == g
+
+
+def _rejected(text):
+    with pytest.raises(InvariantError) as exc:
+        graph_from_edge_list(text)
+    assert "\n" not in str(exc.value)
+    return str(exc.value)
+
+
+def test_edge_list_rejects_sign_other_than_unit():
+    # Signs 0 and 7 used to be read as negative and positive.
+    assert "sign" in _rejected("vertices:3\n0 1 +0 0\n1 2 +1 1\n")
+    assert "sign" in _rejected("vertices:3\n0 1 +1 0\n1 2 +7 1\n")
+    with pytest.raises(InvariantError):
+        SignedMultigraph(2, (GraphEdge(0, 1, 2, 0),))
+
+
+def test_edge_list_rejects_duplicate_crossing_id():
+    assert "duplicate" in _rejected("vertices:3\n0 1 +1 4\n1 2 -1 4\n")
+    with pytest.raises(InvariantError):
+        SignedMultigraph(3, (GraphEdge(0, 1, 1, 0), GraphEdge(1, 2, 1, 0)))
+
+
+def test_edge_list_rejects_negative_vertex_count():
+    assert "vertex count" in _rejected("vertices:-1\n")
+    with pytest.raises(InvariantError):
+        SignedMultigraph(-2, ())
+
+
+def test_edge_list_rejects_non_integer_field():
+    assert "'x'" in _rejected("vertices:x\n")
+    assert "'1.5'" in _rejected("vertices:3\n0 1.5 +1 0\n")
+    assert "'a'" in _rejected("vertices:3\n0 1 +1 a\n")
+    with pytest.raises(InvariantError):
+        SignedMultigraph(3, (GraphEdge(0, 1, 1, "0"),))
