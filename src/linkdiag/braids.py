@@ -69,9 +69,11 @@ def serialize_braid(w: BraidWord) -> str:
 def witness_from_json(text: str) -> QPWitness:
     try:
         obj = json.loads(text)
+        raw = obj["factors"]
+        if not isinstance(raw, list) or not all(isinstance(f, dict) for f in raw):
+            raise DiagramSyntaxError("bad witness JSON: factors must be a list of objects")
         factors = tuple(
-            QPFactor(tuple(int(x) for x in f.get("conj", [])), int(f["gen"]))
-            for f in obj["factors"]
+            QPFactor(tuple(int(x) for x in f.get("conj", [])), int(f["gen"])) for f in raw
         )
         strands = int(obj["strands"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -158,7 +158,9 @@ def cmd_certify(args) -> int:
     with open(args.witness, encoding="utf-8") as fh:
         witness = witness_from_json(fh.read())
     cert = certify(witness, d, args.mode, args.max_crossings, args.max_vertices)
-    _emit(_report("certify", data, cert.to_json_obj(), []), args.json)
+    verified = next(h.value for h in cert.hypothesis_trace if h.name == "witness-verified")
+    warnings_list = [] if verified else ["witness not verified: crossing cap exceeded"]
+    _emit(_report("certify", data, cert.to_json_obj(), warnings_list), args.json)
     return EXIT_WITNESS if cert.status == "Contradiction" else EXIT_OK
 
 
@@ -166,7 +168,7 @@ def cmd_braidize(args) -> int:
     from .vogel import vogel_braidize
 
     d, data = load_diagram_file(args.file)
-    word = vogel_braidize(d, args.max_crossings)
+    word = vogel_braidize(d)
     result = {
         "strands": word.strands,
         "letters": list(word.letters),

@@ -224,6 +224,75 @@ def mirror(d: Diagram) -> Diagram:
     return Diagram(d.arc_count, flipped, d.free_loops)
 
 
+def from_behind(d: Diagram) -> Diagram:
+    """The same diagram seen from the other side of the projection plane.
+
+    Every crossing's over and under strands trade places and its sign
+    stays.  The view is a rotation by pi in R^3, so the link is unchanged.
+    """
+    swapped = tuple(
+        Crossing(x.sign, x.over_in, x.under_in, x.over_out, x.under_out) for x in d.crossings
+    )
+    return Diagram(d.arc_count, swapped, d.free_loops)
+
+
+def isomorphic(a: Diagram, b: Diagram) -> bool:
+    """Whether relabelling arcs and crossings turns ``a`` into ``b``.
+
+    Crossing 0 of ``a`` is tried against each crossing of ``b`` with its
+    sign; the map then propagates along the outgoing arcs, so each try is
+    linear and the test is O(C^2).  The map keeps signs and slot roles, and
+    with them the rotation of the slots, so for a non-split ``a`` it is
+    equality of diagrams on S^2.  Crossings that propagation from crossing
+    0 cannot reach, in a second split part, are never matched.
+    """
+    if (len(a.crossings), a.free_loops) != (len(b.crossings), b.free_loops):
+        return False
+    if not a.crossings:
+        return True
+    next_a, next_b = _next_ports(a), _next_ports(b)
+    sign_a = [x.sign for x in a.crossings]
+    sign_b = [x.sign for x in b.crossings]
+    return any(
+        _extends(next_a, next_b, sign_a, sign_b, j)
+        for j in range(len(sign_b))
+        if sign_b[j] == sign_a[0]
+    )
+
+
+def _next_ports(d: Diagram) -> list[int]:
+    """Port ``2*crossing + role`` (0 under, 1 over) -> port its out-arc enters."""
+    head = [0] * d.arc_count
+    for ci, x in enumerate(d.crossings):
+        head[x.under_in] = 2 * ci
+        head[x.over_in] = 2 * ci + 1
+    return [head[a] for x in d.crossings for a in (x.under_out, x.over_out)]
+
+
+def _extends(next_a, next_b, sign_a, sign_b, start: int) -> bool:
+    """Whether crossing 0 -> ``start`` extends to a full isomorphism."""
+    n = len(sign_a)
+    to_b, to_a = [-1] * n, [-1] * n
+    to_b[0], to_a[start] = start, 0
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        j = to_b[i]
+        for role in (0, 1):
+            p, q = next_a[2 * i + role], next_b[2 * j + role]
+            if p & 1 != q & 1:
+                return False
+            i2, j2 = p >> 1, q >> 1
+            if to_b[i2] < 0:
+                if to_a[j2] >= 0 or sign_a[i2] != sign_b[j2]:
+                    return False
+                to_b[i2], to_a[j2] = j2, i2
+                stack.append(i2)
+            elif to_b[i2] != j2:
+                return False
+    return -1 not in to_b
+
+
 def counts(d: Diagram) -> DiagramCounts:
     c_plus = sum(1 for x in d.crossings if x.sign > 0)
     c_minus = len(d.crossings) - c_plus

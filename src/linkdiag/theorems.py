@@ -89,11 +89,11 @@ def witness_sl(q: QPWitness, d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CA
     wd = closure(word)
     if counts(wd).link_components != counts(d).link_components:
         raise WitnessMismatchError("witness closure and diagram differ in component count")
-    verified = False
-    if len(wd.crossings) <= crossing_cap and len(d.crossings) <= crossing_cap:
-        # Equal diagrams have equal polynomials: when d is the witness's own
-        # closure there is nothing to evaluate.
-        if wd != d and homfly(wd, crossing_cap) != homfly(d, crossing_cap):
+    # Equal diagrams have equal polynomials: when d is the witness's own
+    # closure it is verified at any size, with nothing to evaluate.
+    verified = wd == d
+    if not verified and len(wd.crossings) <= crossing_cap and len(d.crossings) <= crossing_cap:
+        if homfly(wd, crossing_cap) != homfly(d, crossing_cap):
             raise WitnessMismatchError("witness closure and diagram have different HOMFLY polynomials")
         verified = True
     return WitnessSL(word.exponent_sum - word.strands, verified)

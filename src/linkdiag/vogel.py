@@ -12,21 +12,19 @@ is a path of coherent circles and the braid word is read off by cutting
 each circle compatibly and merging the resulting chains.
 
 The braid word is not canonical; the contract is (strands, writhe,
-link-invariant equality).  The result is verified once, against the input:
-the input's HOMFLY is computed a single time and a candidate word is
-accepted only if its closure has that polynomial and the same component
-count.  This runs whenever the R2-expanded diagram is within the crossing
-cap; above it the word is returned with a "not verified" warning.
+link type).  It is exact at any size: a ray is accepted only when the
+closure of its word is the coherent diagram itself, relabelled, as it is
+or seen from behind (see ``diagram.isomorphic`` and
+``diagram.from_behind``).  R2 moves keep the link, so the word's closure
+is the input's link.  When no ray passes, ``IterationLimitError`` is
+raised.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from .braids import BraidWord, closure
-from .diagram import Crossing, Diagram, check_valid, counts
+from .diagram import Crossing, Diagram, check_valid, counts, from_behind, isomorphic
 from .errors import IterationLimitError, SplitInputError
-from .homfly import DEFAULT_CROSSING_CAP, homfly
 from .seifert import seifert_analysis
 
 # Slots in counterclockwise order around a crossing, by sign.
@@ -156,15 +154,26 @@ def _path_order(graph) -> list[int]:
     return order
 
 
-def _read_word(d: Diagram, analysis, target) -> BraidWord:
+def _read_word(d: Diagram, analysis) -> BraidWord:
     """Read a braid word off coherent ``d``.
 
-    When ``target`` is a HOMFLY polynomial, a ray is accepted only if the
-    closure of its word has that polynomial and ``d``'s component count.
+    A candidate is accepted only if its closure is ``d`` itself, as it is
+    or seen from behind; the two views are the same link.
     """
+    views = (d, from_behind(d))
+    for word in _candidate_words(d, analysis):
+        cand = closure(word)
+        if any(isomorphic(cand, view) for view in views):
+            return word
+    raise IterationLimitError("no ray reads the coherent diagram as a closed braid")
+
+
+def _candidate_words(d: Diagram, analysis):
+    """Yield the words read off coherent ``d`` along each mergeable ray."""
     n = analysis.circle_count
     if not d.crossings:
-        return BraidWord(max(n, 1), ())
+        yield BraidWord(max(n, 1), ())
+        return
     graph = analysis.graph
     order = _path_order(graph)
     strand_of_circle = {c: i for i, c in enumerate(order)}
@@ -200,15 +209,7 @@ def _read_word(d: Diagram, analysis, target) -> BraidWord:
         letters = tuple(
             gen_of_crossing[c] * (1 if sign_of[c] > 0 else -1) for c in linear
         )
-        word = BraidWord(n, letters)
-        if target is not None:
-            cand = closure(word)
-            if counts(cand).link_components != counts(d).link_components:
-                continue
-            if homfly(cand, len(cand.crossings)) != target:
-                continue
-        return word
-    raise IterationLimitError("could not schedule crossings into a braid word")
+        yield BraidWord(n, letters)
 
 
 def _rays(circle_arcs: list[set[int]], face_sets: list[set[int]]):
@@ -260,7 +261,7 @@ def _merge_chains(chains: list[list[int]]) -> list[int] | None:
     return out if len(out) == len(nodes) else None
 
 
-def vogel_braidize(d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> BraidWord:
+def vogel_braidize(d: Diagram) -> BraidWord:
     check_valid(d)
     c = counts(d)
     if c.split_parts > 1:
@@ -283,17 +284,7 @@ def vogel_braidize(d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> Brai
         if moves > limit:
             raise IterationLimitError(f"no coherent form after {moves} moves")
 
-    # R2 moves keep the link type, so the input's HOMFLY filters the rays
-    # read off the coherent diagram.
-    if len(current.crossings) <= crossing_cap:
-        target = homfly(d, crossing_cap)
-    else:
-        warnings.warn("braidization result not verified: crossing cap exceeded")
-        target = None
-    word = _read_word(current, analysis, target)
-    if word.strands != target_o or word.exponent_sum != target_writhe:
-        raise IterationLimitError("braid word does not match O(D) or writhe")
-    return word
+    return _read_word(current, analysis)
 
 
 def _find_defect(d: Diagram, circle_of_arc):

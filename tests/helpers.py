@@ -240,24 +240,29 @@ def graph_from_matrix(mult, signs=None) -> SignedMultigraph:
 
 
 def enumerate_multigraphs(max_vertices: int, max_edges: int):
-    """All loop-free multigraphs up to isomorphism, as multiplicity matrices."""
-    seen = set()
+    """All loop-free multigraphs up to isomorphism, as multiplicity matrices.
+
+    Each relabelling orbit is canonicalised once, by a ``min`` over all n!
+    relabellings when its first composition is met; every composition of
+    the orbit is then marked as seen.
+    """
     out = []
     for n in range(1, max_vertices + 1):
         pairs = list(itertools.combinations(range(n), 2))
         perms = list(itertools.permutations(range(n)))
+        seen = set()
         for vec in _compositions(len(pairs), max_edges):
+            if vec in seen:
+                continue
             mult = [[0] * n for _ in range(n)]
             for (a, b), k in zip(pairs, vec):
                 mult[a][b] = mult[b][a] = k
-            canon = min(
+            relabelled = [
                 tuple(tuple(mult[p[a]][p[b]] for b in range(n)) for a in range(n))
                 for p in perms
-            )
-            key = (n, canon)
-            if key not in seen:
-                seen.add(key)
-                out.append(canon)
+            ]
+            seen.update(tuple(m[a][b] for a, b in pairs) for m in relabelled)
+            out.append(min(relabelled))
     return out
 
 

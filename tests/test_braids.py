@@ -83,6 +83,9 @@ def test_witness_json_errors():
         witness_from_json('{"strands": 2}')
     with pytest.raises(BraidRangeError):
         witness_from_json('{"strands": 2, "factors": [{"conj": [], "gen": 2}]}')
+    for factors in ('"x"', "[1]", "{}"):
+        with pytest.raises(DiagramSyntaxError):
+            witness_from_json('{"strands": 2, "factors": %s}' % factors)
 
 
 def test_expand_witness_trefoil():

@@ -76,6 +76,17 @@ def test_braidize_round_trip(capsys):
     assert r["strands"] == 2 and r["letters"] == [1, 1, 1]
 
 
+def test_braidize_above_crossing_cap_is_exact(tmp_path, capsys):
+    # T(3,9) has 18 crossings; braidize has no cap, but accepts the flag.
+    path = tmp_path / "t39.braid"
+    path.write_text("braid n=3: " + " ".join(["1 2"] * 9) + "\n")
+    code, out, err = run_cli(capsys, ["braidize", str(path), "--max-crossings", "16", "--json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["warnings"] == []
+    assert report["result"]["strands"] == 3 and len(report["result"]["letters"]) == 18
+
+
 def test_reduce_command(tmp_path, capsys):
     path = tmp_path / "kink.braid"
     path.write_text("braid n=2: 1\n")
@@ -205,3 +216,41 @@ def test_certify_size_limited_index(capsys, mode):
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("factors", ['"x"', "[1]"])
+def test_certify_bad_witness_factors(tmp_path, capsys, factors):
+    witness = tmp_path / "w.json"
+    witness.write_text('{"strands": 2, "factors": %s}' % factors)
+    argv = ["certify", fixture("trefoil.knot"), "--witness", str(witness), "--mode", "thm1", "--json"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: bad witness JSON")
+
+
+def _certify_at_cap(tmp_path, capsys, factors, cap):
+    braid = tmp_path / "t.braid"
+    braid.write_text("braid n=2: 1 1 1\n")
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"strands": 2, "factors": factors}))
+    argv = ["certify", str(braid), "--witness", str(witness), "--mode", "thm4", "--json"]
+    code, out, _err = run_cli(capsys, argv + ["--max-crossings", str(cap)])
+    assert code == 0
+    report = json.loads(out)
+    verified = [h["value"] for h in report["result"]["hypothesis_trace"] if h["name"] == "witness-verified"]
+    return verified, report["result"]["status"], report["warnings"]
+
+
+def test_certify_own_closure_verified_at_any_cap(tmp_path, capsys):
+    # The input is the witness's closure, so nothing needs evaluating.
+    factors = [{"conj": [], "gen": 1}] * 3
+    assert _certify_at_cap(tmp_path, capsys, factors, -1) == ([True], "Positive", [])
+
+
+def test_certify_unverified_witness_warns(tmp_path, capsys):
+    # sigma_1 conjugated by itself: the trefoil on another diagram.
+    factors = [{"conj": [1], "gen": 1}] + [{"conj": [], "gen": 1}] * 2
+    caveat = "witness not verified: crossing cap exceeded"
+    assert _certify_at_cap(tmp_path, capsys, factors, -1) == ([False], "Positive", [caveat])
+    assert _certify_at_cap(tmp_path, capsys, factors, 16) == ([True], "Positive", [])

@@ -15,6 +15,7 @@ from linkdiag import (
     serialize_diagram,
     validate,
 )
+from linkdiag.diagram import from_behind, isomorphic
 from linkdiag.errors import AmbiguousOrientation, DiagramSyntaxError, InvariantError
 
 from helpers import fixture_diagrams, random_word
@@ -91,6 +92,127 @@ def test_split_union_parts():
     both = Diagram(12, a.crossings + shifted, 0)
     assert validate(both).ok
     assert counts(both).split_parts == 2
+
+
+def _relabelled(d, rng):
+    """``d`` with shuffled arc ids and crossing order."""
+    arc = list(range(d.arc_count))
+    rng.shuffle(arc)
+    crossings = [Crossing(x.sign, *(arc[a] for a in x[1:])) for x in d.crossings]
+    rng.shuffle(crossings)
+    return Diagram(d.arc_count, tuple(crossings), d.free_loops)
+
+
+def _switched(d, ci):
+    x = d.crossings[ci]
+    flipped = Crossing(-x.sign, x.over_in, x.under_in, x.over_out, x.under_out)
+    return Diagram(d.arc_count, d.crossings[:ci] + (flipped,) + d.crossings[ci + 1:], d.free_loops)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_isomorphic_relabelled_copy(seed):
+    rng = random.Random(seed)
+    seen = 0
+    while seen < 25:
+        d = closure(random_word(rng, rng.randint(2, 4), rng.randint(1, 10)))
+        if counts(d).split_parts != 1:
+            continue
+        seen += 1
+        assert validate(_relabelled(d, rng)).ok
+        assert isomorphic(_relabelled(d, rng), d)
+        assert isomorphic(d, _relabelled(d, rng))
+
+
+def test_isomorphic_cyclic_rotation_of_the_word():
+    # Conjugating by a cyclic rotation redraws the same closed braid.
+    a = closure(parse_braid("braid n=3: 1 1 -2 2 -1"))
+    b = closure(parse_braid("braid n=3: -2 2 -1 1 1"))
+    assert isomorphic(a, b)
+
+
+def test_isomorphic_rejects_switched_crossing_and_chiral_mirror():
+    d = closure(parse_braid("braid n=3: 1 -2 1 1 -2 2"))
+    for ci in range(len(d.crossings)):
+        assert not isomorphic(_switched(d, ci), d)
+    trefoil = closure(parse_braid("braid n=2: 1 1 1"))
+    assert not isomorphic(mirror(trefoil), trefoil)
+
+
+def test_isomorphic_rejects_equal_signs_on_other_wiring():
+    # Four positive crossings on three strands each: a 3-component link
+    # against a knot, so only the propagation can tell them apart.
+    a = closure(parse_braid("braid n=3: 1 1 2 2"))
+    b = closure(parse_braid("braid n=3: 1 2 1 2"))
+    assert not isomorphic(a, b) and not isomorphic(b, a)
+
+
+def _union(a, b):
+    shifted = tuple(Crossing(x.sign, *(arc + a.arc_count for arc in x[1:])) for x in b.crossings)
+    return Diagram(a.arc_count + b.arc_count, a.crossings + shifted, a.free_loops + b.free_loops)
+
+
+def test_isomorphic_never_matches_an_unreached_part():
+    trefoil = closure(parse_braid("braid n=2: 1 1 1"))
+    assert not isomorphic(_union(trefoil, trefoil), _union(trefoil, mirror(trefoil)))
+
+
+def test_isomorphic_is_one_to_one():
+    # T(2,4) wraps twice around each Hopf link of a split pair: every
+    # crossing has an image, but two crossings share each one.
+    hopf = closure(parse_braid("braid n=2: 1 1"))
+    assert not isomorphic(closure(parse_braid("braid n=2: 1 1 1 1")), _union(hopf, hopf))
+
+
+def test_isomorphic_checks_every_sign():
+    # Granny knot against the same wiring with its second trefoil summand
+    # reflected in the plane (signs negated, slots kept): a square knot.
+    granny = closure(parse_braid("braid n=3: 1 1 1 2 2 2"))
+    square = Diagram(
+        granny.arc_count,
+        granny.crossings[:3] + tuple(Crossing(-x.sign, *x[1:]) for x in granny.crossings[3:]),
+        0,
+    )
+    assert validate(square).ok
+    assert not isomorphic(square, granny) and not isomorphic(granny, square)
+    # One negated sign, slots kept, at each crossing in turn.
+    for ci, x in enumerate(granny.crossings):
+        negated = granny.crossings[:ci] + (Crossing(-x.sign, *x[1:]),) + granny.crossings[ci + 1:]
+        e = Diagram(granny.arc_count, negated, 0)
+        assert not isomorphic(e, granny) and not isomorphic(granny, e)
+
+
+def test_isomorphic_checks_in_slot_roles():
+    # Trading one crossing's in-slots keeps every out-slot and sign; the
+    # result is slot-valid, so only the role of the entered slot differs.
+    d = closure(parse_braid("braid n=3: 1 -2 1 -2"))
+    for ci, x in enumerate(d.crossings):
+        traded = Crossing(x.sign, x.over_in, x.under_in, x.under_out, x.over_out)
+        e = Diagram(d.arc_count, d.crossings[:ci] + (traded,) + d.crossings[ci + 1:], 0)
+        assert validate(e).ok
+        assert not isomorphic(e, d) and not isomorphic(d, e)
+
+
+def test_isomorphic_crossingless():
+    assert isomorphic(Diagram(0, (), 1), Diagram(0, (), 1))
+    assert not isomorphic(Diagram(0, (), 2), Diagram(0, (), 1))
+
+
+@pytest.mark.parametrize(
+    "text, behind",
+    [
+        ("braid n=3: 1 1 -2", "braid n=3: 2 2 -1"),
+        ("braid n=4: 1 -2 3 3 -1 2", "braid n=4: 3 -2 1 1 -3 2"),
+    ],
+)
+def test_role_swapped_closure_needs_the_swap(text, behind):
+    # Seen from behind, a closed braid's strand positions reverse: generator
+    # i becomes n - i and keeps its sign.
+    d = closure(parse_braid(text))
+    e = _relabelled(closure(parse_braid(behind)), random.Random(5))
+    assert not isomorphic(e, d)
+    assert isomorphic(from_behind(e), d)
+    assert from_behind(from_behind(d)) == d
+    assert counts(from_behind(d)) == counts(d)
 
 
 def test_import_pd_trefoil():

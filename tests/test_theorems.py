@@ -29,6 +29,7 @@ from linkdiag.errors import (
     SplitInputError,
     WitnessMismatchError,
 )
+from linkdiag.theorems import WitnessSL
 
 from helpers import fixture_diagrams, random_diagram
 
@@ -69,6 +70,12 @@ def test_witness_sl_verified():
     q = QPWitness(2, tuple(QPFactor((), 1) for _ in range(3)))
     ws = witness_sl(q, fx["trefoil"])
     assert ws.value == 1 and ws.verified
+
+
+def test_witness_sl_own_closure_verified_at_any_cap():
+    q = QPWitness(2, tuple(QPFactor((), 1) for _ in range(3)))
+    assert witness_sl(q, closure(expand_witness(q)), -1) == WitnessSL(1, True)
+    assert witness_sl(q, fixture_diagrams()["trefoil_neg_kink"], -1) == WitnessSL(1, False)
 
 
 def test_witness_sl_mismatch():

@@ -14,9 +14,9 @@ from linkdiag import (
     vogel_braidize,
 )
 from linkdiag.diagram import Crossing, Diagram
-from linkdiag.errors import SplitInputError
+from linkdiag.errors import IterationLimitError, SplitInputError
 
-from helpers import fixture_diagrams, fixture_words, random_word
+from helpers import fixture_diagrams, fixture_words, oracle_homfly, random_word
 
 
 def _check_word(d, word):
@@ -102,10 +102,10 @@ X+ u_in:15 o_in:14 u_out:1 o_out:2
 """
 
 
-def _braidize_recording(d, **kwargs):
+def _braidize_recording(d):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        word = vogel_braidize(d, **kwargs)
+        word = vogel_braidize(d)
     return word, [str(w.message) for w in caught]
 
 
@@ -118,9 +118,20 @@ def test_incoherent_within_cap_is_verified():
     assert counts(closure(word)).link_components == counts(d).link_components == 3
 
 
-def test_incoherent_above_cap_warns_not_verified():
+def test_incoherent_link_exact_without_cap():
+    # Rays are checked by isomorphism, so no size leaves a word unchecked;
+    # the closure's HOMFLY is compared here with the independent oracle.
     d = parse_diagram(INCOHERENT_LINK)
-    word, caught = _braidize_recording(d, crossing_cap=15)
-    assert caught == ["braidization result not verified: crossing cap exceeded"]
+    word, caught = _braidize_recording(d)
+    assert caught == []
+    assert oracle_homfly(closure(word)) == oracle_homfly(d)
     assert word.strands == seifert_analysis(d).circle_count == 5
     assert word.exponent_sum == counts(d).writhe == 0
+
+
+def test_no_accepted_ray_raises(monkeypatch):
+    from linkdiag import vogel
+
+    monkeypatch.setattr(vogel, "isomorphic", lambda a, b: False)
+    with pytest.raises(IterationLimitError):
+        vogel_braidize(parse_diagram(INCOHERENT_LINK))
