@@ -13,6 +13,12 @@ The native text format is::
 
 with one ``X`` line per crossing.  A JSON mirror of the same fields is
 also supported (see :func:`diagram_to_json` / :func:`diagram_from_json`).
+
+The crossing sign fixes the counterclockwise order of the four slots, so
+a diagram is also a combinatorial map whose faces :func:`faces` traces
+with no separate planar data.  Parsed and imported diagrams must be
+planar: :func:`check_planar` rejects a slot-valid code that fails
+Euler's formula.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import AmbiguousOrientation, DiagramSyntaxError, InvariantError
+from .errors import AmbiguousOrientation, DiagramSyntaxError, InvariantError, NonPlanarError
 
 
 class Crossing(NamedTuple):
@@ -150,6 +156,71 @@ def check_valid(d: Diagram) -> Diagram:
     return d
 
 
+def dart_successors(d: Diagram) -> list[int]:
+    """Next dart along its face, for each dart ``4*crossing + slot``.
+
+    Slots are numbered as in ``Crossing``: 0 ``u_in``, 1 ``o_in``,
+    2 ``u_out``, 3 ``o_out``.  Counterclockwise they run 0 1 2 3 at a
+    positive crossing and 0 3 2 1 at a negative one, so the slot before
+    ``s`` is ``(s - sign) % 4``.  A dart steps along its arc to the
+    arc's other end, then back one slot there, which keeps the face on
+    its left.
+    """
+    before_end = [0] * (2 * d.arc_count)  # 2*arc + 1: head end, 2*arc: tail end
+    for ci, x in enumerate(d.crossings):
+        base, s = 4 * ci, x.sign
+        before_end[2 * x.under_in + 1] = base + (0 - s) % 4
+        before_end[2 * x.over_in + 1] = base + (1 - s) % 4
+        before_end[2 * x.under_out] = base + (2 - s) % 4
+        before_end[2 * x.over_out] = base + (3 - s) % 4
+    return [
+        before_end[2 * arc + (slot >= 2)]
+        for x in d.crossings
+        for slot, arc in enumerate(x[1:])
+    ]
+
+
+def faces(d: Diagram) -> list[list[tuple[int, bool]]]:
+    """Faces as lists of (arc, forward) entries along the boundary.
+
+    Faces come in order of their first dart and each starts there.
+    Traversal keeps the face interior on the left; ``forward`` records
+    whether the arc's orientation agrees with the traversal.
+    """
+    succ = dart_successors(d)
+    crossings = d.crossings
+    seen = [False] * len(succ)
+    out = []
+    for start in range(len(succ)):
+        face = []
+        t = start
+        while not seen[t]:
+            seen[t] = True
+            face.append((crossings[t >> 2][1 + (t & 3)], t & 3 >= 2))
+            t = succ[t]
+        if face:
+            out.append(face)
+    return out
+
+
+def check_planar(d: Diagram) -> Diagram:
+    """Raise unless d is valid and planar; return d for chaining.
+
+    Each split part with crossings is a map with V crossings, E = 2V arcs
+    and F faces, and it lies on a sphere exactly when V - E + F = 2.
+    Free loops carry no map, so the sum over the diagram must be twice
+    the number of split parts that are not free loops.
+    """
+    check_valid(d)
+    parts = counts(d).split_parts - d.free_loops
+    euler = len(d.crossings) - d.arc_count + len(faces(d))
+    if euler != 2 * parts:
+        raise NonPlanarError(
+            f"non-planar: V - E + F = {euler} but {parts} split part(s) need {2 * parts}"
+        )
+    return d
+
+
 _HEADER_RE = re.compile(r"^arcs:(\d+)\s+loops:(\d+)$")
 _CROSSING_RE = re.compile(
     r"^X([+-])\s+u_in:(\d+)\s+o_in:(\d+)\s+u_out:(\d+)\s+o_out:(\d+)$"
@@ -177,7 +248,7 @@ def parse_diagram(text: str) -> Diagram:
         crossings.append(
             Crossing(sign, int(cm.group(2)), int(cm.group(3)), int(cm.group(4)), int(cm.group(5)))
         )
-    return check_valid(Diagram(arc_count, tuple(crossings), free_loops))
+    return check_planar(Diagram(arc_count, tuple(crossings), free_loops))
 
 
 def serialize_diagram(d: Diagram) -> str:
@@ -213,7 +284,7 @@ def diagram_from_json(text: str) -> Diagram:
         d = Diagram(int(obj["arcs"]), crossings, int(obj.get("loops", 0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise DiagramSyntaxError(f"bad JSON diagram fields: {exc}") from exc
-    return check_valid(d)
+    return check_planar(d)
 
 
 def mirror(d: Diagram) -> Diagram:
@@ -412,4 +483,4 @@ def import_pd(text: str) -> Diagram:
         else:
             over_in, over_out, sign = dd, b, -1
         crossings.append(Crossing(sign, arc_id[a], arc_id[over_in], arc_id[c], arc_id[over_out]))
-    return check_valid(Diagram(2 * len(tuples), tuple(crossings), 0))
+    return check_planar(Diagram(2 * len(tuples), tuple(crossings), 0))

@@ -13,6 +13,10 @@ class InvariantError(LinkdiagError):
     """A structural invariant of a diagram or graph is violated."""
 
 
+class NonPlanarError(InvariantError):
+    """A slot-valid diagram code fails Euler's formula: it has no planar drawing."""
+
+
 class AmbiguousOrientation(LinkdiagError):
     """PD sign inference could not determine strand orientations."""
 

@@ -7,24 +7,39 @@ Convention (fixed, no runtime switches)::
 so a k-component unlink evaluates to delta^(k-1) with
 delta = (v^-1 - v)/z.
 
-Termination uses the descending-diagram strategy: components are ordered
-by smallest arc id and traversed from their smallest arc; the first
-crossing whose first pass is on the under-strand is switched (branch 1)
-and smoothed (branch 2).  Descending diagrams are unlinks.  The same
-traversal counts the link components, so a leaf needs no second pass.
+Each node first cancels an oriented Reidemeister-II pair when it has
+one: two crossings of opposite sign that bound a bigon face (see
+``diagram.faces``), where one strand passes over at both.  The node's
+value is then that of the diagram with both crossings removed, since
+HOMFLY is an isotopy invariant.  A bigon is read off the faces, so the
+input must be planar, as every parsed or imported diagram is
+(``diagram.check_planar``); switching, smoothing and cancelling keep a
+diagram planar.
+
+A node without such a pair uses the descending-diagram strategy:
+components are ordered by smallest arc id and traversed from their
+smallest arc; the first crossing whose first pass is on the under-strand
+is switched (branch 1) and smoothed (branch 2).  Descending diagrams are
+unlinks.  The same traversal counts the link components, so a leaf needs
+no second pass.  The worst case stays exponential in the crossings, on
+subdiagrams with no cancellable bigon.
 
 Different branches often reach the same subdiagram, so each top-level
 :func:`homfly` call keeps a memo keyed on the exact ``Diagram`` (arc ids,
 crossings and free loops) and evaluates each subdiagram once.  The memo
 is created per call and dropped when it returns: nothing is cached across
 calls, so memory does not grow with the number of diagrams seen.
+
+A leaf of k components costs a power delta^(k-1) of k terms, so
+:func:`homfly` refuses more free loops than its crossing cap, as it
+refuses more crossings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Crossing, Diagram, check_valid, counts, rebuild
+from .diagram import Crossing, Diagram, check_valid, counts, dart_successors, rebuild
 from .errors import SizeLimitError, ZeroPolynomialError
 from .graph_index import IndexReport
 from .poly import DELTA, LaurentPoly2
@@ -102,9 +117,40 @@ def _smooth(d: Diagram, ci: int) -> Diagram:
     return rebuild(d.arc_count, joins, d.crossings[:ci] + d.crossings[ci + 1:], d.free_loops)
 
 
+def _r2_bigon(d: Diagram) -> tuple[int, int] | None:
+    """Two crossings of opposite sign that bound a bigon face, or None.
+
+    A dart whose successor's successor is itself runs round a bigon.  On
+    a planar diagram, a bigon with opposite signs is an oriented
+    Reidemeister-II pair.  Diagrams of one sign have none.
+    """
+    crossings = d.crossings
+    if len({x.sign for x in crossings}) < 2:
+        return None
+    succ = dart_successors(d)
+    for t, u in enumerate(succ):
+        if crossings[t >> 2].sign != crossings[u >> 2].sign and succ[u] == t:
+            return t >> 2, u >> 2
+    return None
+
+
+def _cancel(d: Diagram, c1: int, c2: int) -> Diagram:
+    """Remove a Reidemeister-II pair, joining u_in~u_out and o_in~o_out at both."""
+    joins = []
+    for x in (d.crossings[c1], d.crossings[c2]):
+        joins += [(x.under_in, x.under_out), (x.over_in, x.over_out)]
+    rest = tuple(x for ci, x in enumerate(d.crossings) if ci != c1 and ci != c2)
+    return rebuild(d.arc_count, joins, rest, d.free_loops)
+
+
 def _homfly_rec(d: Diagram, memo: dict[Diagram, LaurentPoly2]) -> LaurentPoly2:
     p = memo.get(d)
     if p is not None:
+        return p
+    pair = _r2_bigon(d)
+    if pair is not None:
+        p = _homfly_rec(_cancel(d, *pair), memo)
+        memo[d] = p
         return p
     ci, comps = _first_discordant(d)
     if ci is None:
@@ -129,6 +175,10 @@ def homfly(d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly2
     if len(d.crossings) > crossing_cap:
         raise SizeLimitError(
             f"{len(d.crossings)} crossings exceeds HOMFLY cap {crossing_cap}"
+        )
+    if d.free_loops > crossing_cap:
+        raise SizeLimitError(
+            f"{d.free_loops} free loops exceeds HOMFLY cap {crossing_cap}"
         )
     return _homfly_rec(d, {})
 

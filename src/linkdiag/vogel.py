@@ -1,15 +1,14 @@
 """Transform a connected diagram into a closed braid on O(D) strands.
 
-The crossing sign determines the counterclockwise rotation of the four
-slots, so each diagram carries a combinatorial map whose faces can be
-traced without any separate planar data.  Following Vogel's scheme, a
-face is *defective* when it carries two edges of distinct Seifert circles
-inducing the same orientation on the face boundary; an oriented
-Reidemeister-II insertion across such a pair (one positive and one
-negative crossing) removes the defect while preserving both the Seifert
-circle count and the writhe.  When no defect remains, the Seifert graph
-is a path of coherent circles and the braid word is read off by cutting
-each circle compatibly and merging the resulting chains.
+Faces come from ``diagram.faces``, the package's one face tracer, on the
+combinatorial map that the crossing signs define.  Following Vogel's
+scheme, a face is *defective* when it carries two edges of distinct
+Seifert circles inducing the same orientation on the face boundary; an
+oriented Reidemeister-II insertion across such a pair (one positive and
+one negative crossing) removes the defect while preserving both the
+Seifert circle count and the writhe.  When no defect remains, the
+Seifert graph is a path of coherent circles and the braid word is read
+off by cutting each circle compatibly and merging the resulting chains.
 
 The braid word is not canonical; the contract is (strands, writhe,
 link type).  It is exact at any size: a ray is accepted only when the
@@ -23,66 +22,9 @@ raised.
 from __future__ import annotations
 
 from .braids import BraidWord, closure
-from .diagram import Crossing, Diagram, check_valid, counts, from_behind, isomorphic
+from .diagram import Crossing, Diagram, check_valid, counts, faces, from_behind, isomorphic
 from .errors import IterationLimitError, SplitInputError
 from .seifert import seifert_analysis
-
-# Slots in counterclockwise order around a crossing, by sign.
-_CCW = {
-    +1: ("ui", "oi", "uo", "oo"),
-    -1: ("ui", "oo", "uo", "oi"),
-}
-
-_SLOT_ARC = {
-    "ui": lambda x: x.under_in,
-    "oi": lambda x: x.over_in,
-    "uo": lambda x: x.under_out,
-    "oo": lambda x: x.over_out,
-}
-
-
-def _faces(d: Diagram) -> list[list[tuple[int, bool]]]:
-    """Faces as lists of (arc, forward) entries along the boundary.
-
-    Traversal keeps the face interior on the left; ``forward`` records
-    whether the arc's orientation agrees with the traversal.
-    """
-    # Darts: (crossing, slot). alpha pairs the two ends of each arc.
-    out_dart: dict[int, tuple[int, str]] = {}
-    in_dart: dict[int, tuple[int, str]] = {}
-    for ci, x in enumerate(d.crossings):
-        out_dart[x.under_out] = (ci, "uo")
-        out_dart[x.over_out] = (ci, "oo")
-        in_dart[x.under_in] = (ci, "ui")
-        in_dart[x.over_in] = (ci, "oi")
-
-    def dart_arc(dart: tuple[int, str]) -> int:
-        ci, slot = dart
-        return _SLOT_ARC[slot](d.crossings[ci])
-
-    def alpha(dart: tuple[int, str]) -> tuple[int, str]:
-        arc = dart_arc(dart)
-        return in_dart[arc] if dart[1] in ("uo", "oo") else out_dart[arc]
-
-    def sigma_inv(dart: tuple[int, str]) -> tuple[int, str]:
-        ci, slot = dart
-        order = _CCW[d.crossings[ci].sign]
-        return (ci, order[(order.index(slot) - 1) % 4])
-
-    all_darts = [(ci, s) for ci in range(len(d.crossings)) for s in ("ui", "oi", "uo", "oo")]
-    seen: set[tuple[int, str]] = set()
-    faces = []
-    for start in all_darts:
-        if start in seen:
-            continue
-        face = []
-        dart = start
-        while dart not in seen:
-            seen.add(dart)
-            face.append((dart_arc(dart), dart[1] in ("uo", "oo")))
-            dart = sigma_inv(alpha(dart))
-        faces.append(face)
-    return faces
 
 
 def _r2_insert(d: Diagram, alpha_arc: int, beta_arc: int, forward: bool) -> Diagram:
@@ -189,7 +131,7 @@ def _candidate_words(d: Diagram, analysis):
     circle_arcs = [
         {a for a, _c in walks[c]} if c in walks else set() for c in order
     ]
-    face_sets = [{a for a, _fw in face} for face in _faces(d)]
+    face_sets = [{a for a, _fw in face} for face in faces(d)]
 
     # Cut all circles along one transversal ray: pick one arc per circle so
     # that consecutive picks share a face; the cut of each circle starts its
@@ -296,7 +238,7 @@ def _find_defect(d: Diagram, circle_of_arc):
     smallest qualifying (arc, arc, flag) triple wins.
     """
     best = None
-    for face in sorted(_faces(d), key=lambda f: min(a for a, _fw in f)):
+    for face in sorted(faces(d), key=lambda f: min(a for a, _fw in f)):
         entries = sorted(set(face))
         for i, (a, fa) in enumerate(entries):
             for b, fb in entries[i + 1:]:

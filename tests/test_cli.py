@@ -134,6 +134,39 @@ def test_exit_code_size_limit(tmp_path, capsys):
     assert code == 3
 
 
+def test_free_loops_over_cap_exit_3(tmp_path, capsys):
+    # One crossing and 99,997 free loops: a leaf of that many components
+    # would raise delta to that power, so the loops count against the cap.
+    path = tmp_path / "loops.braid"
+    path.write_text("braid n=99999: 1\n")
+    code, out, err = run_cli(capsys, ["homfly", str(path), "--json"])
+    assert code == 3 and out == ""
+    assert err == "error: 99997 free loops exceeds HOMFLY cap 16\n"
+
+
+def test_analyze_warns_on_free_loops_over_cap(tmp_path, capsys):
+    path = tmp_path / "loops.braid"
+    path.write_text("braid n=6: 1\n")
+    code, out, _err = run_cli(capsys, ["analyze", str(path), "--json", "--max-crossings", "2"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["warnings"] == ["4 free loops exceeds HOMFLY cap 2"]
+    assert "bounds" not in report["result"]
+
+
+def test_non_planar_input_exit_2(tmp_path, capsys):
+    path = tmp_path / "virtual.knot"
+    path.write_text(
+        "arcs:4 loops:0\n"
+        "X+ u_in:3 o_in:2 u_out:0 o_out:1\n"
+        "X- u_in:1 o_in:0 u_out:2 o_out:3\n"
+    )
+    for command in ("analyze", "homfly", "braidize"):
+        code, out, err = run_cli(capsys, [command, str(path), "--json"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: non-planar") and err.count("\n") == 1
+
+
 def test_exit_code_witness_mismatch(tmp_path, capsys):
     path = tmp_path / "fig8.braid"
     path.write_text("braid n=3: 1 -2 1 -2\n")

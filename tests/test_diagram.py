@@ -15,8 +15,8 @@ from linkdiag import (
     serialize_diagram,
     validate,
 )
-from linkdiag.diagram import from_behind, isomorphic
-from linkdiag.errors import AmbiguousOrientation, DiagramSyntaxError, InvariantError
+from linkdiag.diagram import check_planar, faces, from_behind, isomorphic
+from linkdiag.errors import AmbiguousOrientation, DiagramSyntaxError, InvariantError, NonPlanarError
 
 from helpers import fixture_diagrams, random_word
 
@@ -213,6 +213,42 @@ def test_role_swapped_closure_needs_the_swap(text, behind):
     assert isomorphic(from_behind(e), d)
     assert from_behind(from_behind(d)) == d
     assert counts(from_behind(d)) == counts(d)
+
+
+# Slot-valid but not planar: V - E + F = 2 - 4 + 2 = 0.
+NON_PLANAR = Diagram(4, (Crossing(1, 3, 2, 0, 1), Crossing(-1, 1, 0, 2, 3)), 0)
+
+
+def test_faces_of_trefoil():
+    d = closure(parse_braid("braid n=2: 1 1 1"))
+    fs = faces(d)
+    assert sorted(len(f) for f in fs) == [2, 2, 2, 3, 3]
+    # Each arc borders two faces, traversed once each way.
+    sides = sorted(side for f in fs for side in f)
+    assert sides == [(a, fw) for a in range(d.arc_count) for fw in (False, True)]
+
+
+def test_non_planar_code_rejected_in_every_format():
+    assert validate(NON_PLANAR).ok
+    assert issubclass(NonPlanarError, InvariantError)
+    for parse, text in (
+        (parse_diagram, serialize_diagram(NON_PLANAR)),
+        (parse_diagram, diagram_to_json(NON_PLANAR)),
+        (import_pd, "X[1,2,3,4] X[3,1,4,2]"),
+    ):
+        with pytest.raises(NonPlanarError, match="V - E \\+ F = 0"):
+            parse(text)
+
+
+def test_planarity_counts_every_split_part():
+    trefoil = closure(parse_braid("braid n=2: 1 1 1"))
+    hopf = closure(parse_braid("braid n=2: 1 1"))
+    both = _union(_union(trefoil, hopf), Diagram(0, (), 2))
+    assert check_planar(both) is both
+    assert parse_diagram(serialize_diagram(both)) == both
+    # A planar part does not make up for a non-planar one.
+    with pytest.raises(NonPlanarError):
+        check_planar(_union(trefoil, NON_PLANAR))
 
 
 def test_import_pd_trefoil():

@@ -14,9 +14,11 @@ from linkdiag import (
     parse_braid,
     seifert_analysis,
 )
-from linkdiag.diagram import Crossing, Diagram
+from linkdiag.braids import BraidWord
+from linkdiag.diagram import Crossing, Diagram, check_planar, faces
 from linkdiag.errors import SizeLimitError
-from linkdiag.homfly import _smooth, _switch
+from linkdiag.homfly import _r2_bigon, _smooth, _switch
+from linkdiag.vogel import _r2_insert
 
 from helpers import fixture_diagrams, oracle_homfly, random_diagram, random_word
 
@@ -62,6 +64,14 @@ def test_size_limit():
     d = closure(parse_braid("braid n=2: " + "1 " * 17))
     with pytest.raises(SizeLimitError):
         homfly(d)
+
+
+def test_free_loops_count_against_the_cap():
+    d = closure(parse_braid("braid n=20: 1"))
+    assert d.free_loops == 18
+    with pytest.raises(SizeLimitError, match="18 free loops"):
+        homfly(d)
+    assert homfly(d, 18) == DELTA ** 18
 
 
 def test_skein_relation_random():
@@ -115,6 +125,20 @@ def _split_union(d1: Diagram, d2: Diagram, extra_loops: int = 0) -> Diagram:
     )
 
 
+def _r2_moved(rng, d, moves):
+    """``d`` after oriented R2 insertions across same-way arcs of one face."""
+    for _ in range(moves):
+        pairs = [
+            (a, b, fa)
+            for face in faces(d)
+            for a, fa in face
+            for b, fb in face
+            if a < b and fa == fb
+        ]
+        d = _r2_insert(d, *rng.choice(pairs))
+    return d
+
+
 def test_split_union_multiplicativity():
     rng = random.Random(74)
     for _ in range(40):
@@ -129,8 +153,49 @@ def test_matches_unmemoized_oracle():
     cases += [_split_union(random_diagram(rng, 4), random_diagram(rng, 4), rng.randint(0, 2)) for _ in range(30)]
     cases += [closure(parse_braid("braid n=2: " + "1 " * q)) for q in range(1, 11)]
     cases += [closure(parse_braid("braid n=3: " + "1 2 " * q)) for q in range(1, 5)]
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        cases.append(closure(BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(1, 9))))))
+    for _ in range(30):
+        # Split parts with cancellable bigons, and free loops beside them.
+        a = closure(BraidWord(3, (1, -1, 2, -2) + random_word(rng, 3, 2).letters))
+        b = _r2_moved(rng, closure(random_word(rng, 2, rng.randint(2, 3))), 1)
+        cases.append(_split_union(a, b, rng.randint(0, 2)))
     for d in cases:
         assert homfly(d) == oracle_homfly(d)
+
+
+def test_r2_bigon_finder():
+    d = closure(parse_braid("braid n=2: 1 -1 1"))
+    pair = _r2_bigon(d)
+    assert pair is not None
+    assert sorted(d.crossings[ci].sign for ci in pair) == [-1, 1]
+    # The Hopf clasp's bigons have equal signs; so have T(2,5)'s and, in
+    # its alternating diagram, the figure-eight's.
+    for text in ("braid n=2: 1 1", "braid n=2: 1 1 1 1 1", "braid n=3: 1 -2 1 -2"):
+        assert _r2_bigon(closure(parse_braid(text))) is None
+
+
+def test_r2_moved_closures_match_oracle():
+    # Not closed braids, planar, and rich in bigons the skein cancels.
+    rng = random.Random(78)
+    for _ in range(60):
+        d = closure(random_word(rng, rng.randint(2, 4), rng.randint(2, 6)))
+        moved = check_planar(_r2_moved(rng, d, rng.randint(1, 3)))
+        assert _r2_bigon(moved) is not None
+        assert homfly(moved) == homfly(d) == oracle_homfly(moved)
+
+
+def test_cancelling_letters_match_oracle():
+    rng = random.Random(79)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        w = random_word(rng, n, rng.randint(0, 6))
+        i = rng.randint(0, len(w.letters))
+        g = rng.choice([k for k in range(1 - n, n) if k])
+        d = closure(BraidWord(n, w.letters[:i] + (g, -g) + w.letters[i:]))
+        assert _r2_bigon(d) is not None
+        assert homfly(d) == homfly(closure(w)) == oracle_homfly(d)
 
 
 def test_no_state_survives_a_call():
