@@ -24,13 +24,8 @@ from .errors import (
 )
 from .graph_index import ind_all
 from .homfly import homfly
-from .seifert import diagram_sl, homogeneity, o_plus, seifert_analysis
-from .theorems import (
-    braid_index_bounds,
-    certify,
-    mirror_identity_check,
-    mp_reduce,
-)
+from .seifert import seifert_analysis
+from .theorems import certify, index_bounds, mirror_identity_check, mp_reduce
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -119,7 +114,7 @@ def cmd_analyze(args) -> int:
     c = counts(d)
     analysis = seifert_analysis(d)
     idx = ind_all(analysis.graph, args.max_vertices)
-    hom = homogeneity(d)
+    hom = analysis.homogeneity
     result = {
         "counts": {
             "c_plus": c.c_plus,
@@ -128,14 +123,14 @@ def cmd_analyze(args) -> int:
             "link_components": c.link_components,
             "split_parts": c.split_parts,
         },
-        "seifert": {"O": analysis.circle_count, "O_plus": o_plus(d), "sl": diagram_sl(d)},
+        "seifert": {"O": analysis.circle_count, "O_plus": analysis.o_plus, "sl": analysis.sl},
         "homogeneity": _homogeneity_obj(hom),
         "index": _index_obj(idx),
         "is_positive": hom.is_positive_diagram,
     }
     warnings_list = []
     try:
-        b = braid_index_bounds(d, args.max_crossings, args.max_vertices, idx)
+        b = index_bounds(d, analysis.circle_count, idx, args.max_crossings)
         result["bounds"] = dataclasses.asdict(b)
         if b.lower_omitted:
             warnings_list.append("MFW lower bound omitted: crossing cap exceeded")

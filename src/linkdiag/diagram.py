@@ -365,6 +365,7 @@ def _extends(next_a, next_b, sign_a, sign_b, start: int) -> bool:
 
 
 def counts(d: Diagram) -> DiagramCounts:
+    """Signs, link components and split parts; reads no faces, checks nothing."""
     c_plus = sum(1 for x in d.crossings if x.sign > 0)
     c_minus = len(d.crossings) - c_plus
 

@@ -11,8 +11,8 @@ Each node first cancels an oriented Reidemeister-II pair when it has
 one: two crossings of opposite sign that bound a bigon face (see
 ``diagram.faces``), where one strand passes over at both.  The node's
 value is then that of the diagram with both crossings removed, since
-HOMFLY is an isotopy invariant.  A bigon is read off the faces, so the
-input must be planar, as every parsed or imported diagram is
+HOMFLY is an isotopy invariant.  A bigon is read off the faces, so
+:func:`homfly` checks once that its input is planar
 (``diagram.check_planar``); switching, smoothing and cancelling keep a
 diagram planar.
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Crossing, Diagram, check_valid, counts, dart_successors, rebuild
+from .diagram import Crossing, Diagram, check_planar, dart_successors, rebuild
 from .errors import SizeLimitError, ZeroPolynomialError
 from .graph_index import IndexReport
 from .poly import DELTA, LaurentPoly2
@@ -171,7 +171,7 @@ def _homfly_rec(d: Diagram, memo: dict[Diagram, LaurentPoly2]) -> LaurentPoly2:
 
 
 def homfly(d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly2:
-    check_valid(d)
+    check_planar(d)
     if len(d.crossings) > crossing_cap:
         raise SizeLimitError(
             f"{len(d.crossings)} crossings exceeds HOMFLY cap {crossing_cap}"
@@ -189,14 +189,13 @@ def degree_report(p: LaurentPoly2, d: Diagram, idx: IndexReport) -> DegreeReport
     if idx.size_limited:
         raise SizeLimitError("Seifert graph exceeds the index vertex cap")
     analysis = seifert_analysis(d)
-    c = counts(d)
-    sl = -analysis.circle_count + c.writhe
+    o, sl = analysis.circle_count, analysis.sl
     min_v, max_v = p.min_deg_v(), p.max_deg_v()
     span = max_v - min_v
     if span % 2:
         raise ZeroPolynomialError(f"odd v-span {span}; not a link polynomial")
     lower1 = sl + 1 + 2 * idx.ind_minus
-    upper2 = analysis.circle_count + c.writhe - 1 - 2 * idx.ind_plus
+    upper2 = sl + 2 * o - 1 - 2 * idx.ind_plus  # O + writhe - 1 - 2 ind_plus
     return DegreeReport(
         min_deg_v=min_v,
         max_deg_v=max_v,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import DSU, Diagram, check_valid, counts
+from .diagram import DSU, Diagram, check_valid
 from .errors import InvariantError, LoopEdgeError
 
 
@@ -81,9 +81,50 @@ def _int_field(text: str, line: str) -> int:
 
 @dataclass(frozen=True)
 class SeifertAnalysis:
+    """The per-diagram Seifert object; sl, O+ and homogeneity read its graph."""
+
     circle_count: int
     circle_of_arc: tuple[int, ...]
     graph: SignedMultigraph
+
+    @property
+    def sl(self) -> int:
+        """Writhe minus O: the sum of the edge signs less the circle count."""
+        return sum(e.sign for e in self.graph.edges) - self.circle_count
+
+    @property
+    def o_plus(self) -> int:
+        """Components of the graph on its positive edges: O after smoothing
+        every negative crossing and keeping every positive one."""
+        dsu = DSU(self.circle_count)
+        for e in self.graph.edges:
+            if e.sign > 0:
+                dsu.union(e.u, e.v)
+        return len({dsu.find(v) for v in range(self.circle_count)})
+
+    @property
+    def homogeneity(self) -> HomogeneityReport:
+        """One sign per block (Cromwell); reduced when no block is a bridge."""
+        g = self.graph
+        factors = []
+        for block in blocks(g):
+            signs = {g.edges[ei].sign for ei in block}
+            sign = signs.pop() if len(signs) == 1 else 0
+            vertices = frozenset()
+            for ei in block:
+                vertices |= {g.edges[ei].u, g.edges[ei].v}
+            factors.append(Factor(vertices, block, sign))
+        factors.sort(key=lambda f: f.edge_ids)
+        edge_signs = {e.sign for e in g.edges}
+        return HomogeneityReport(
+            is_homogeneous=all(f.sign != 0 for f in factors),
+            factors=tuple(factors),
+            # A block of one edge is a bridge, i.e. a nugatory crossing;
+            # any larger block gives each of its vertices valence >= 2.
+            is_reduced=all(len(f.edge_ids) > 1 for f in factors),
+            is_special=len(edge_signs) <= 1,
+            is_positive_diagram=-1 not in edge_signs,
+        )
 
 
 @dataclass(frozen=True)
@@ -103,6 +144,7 @@ class HomogeneityReport:
 
 
 def seifert_analysis(d: Diagram) -> SeifertAnalysis:
+    """Circles and signed graph; reads no faces, so ``check_valid`` suffices."""
     check_valid(d)
     dsu = DSU(d.arc_count)
     for x in d.crossings:
@@ -126,24 +168,11 @@ def seifert_analysis(d: Diagram) -> SeifertAnalysis:
 
 
 def o_plus(d: Diagram) -> int:
-    """Connected components after orientation-smoothing every negative crossing."""
-    check_valid(d)
-    dsu = DSU(d.arc_count)
-    for x in d.crossings:
-        if x.sign < 0:
-            dsu.union(x.under_in, x.over_out)
-            dsu.union(x.over_in, x.under_out)
-        else:
-            dsu.union(x.under_in, x.over_in)
-            dsu.union(x.under_in, x.under_out)
-            dsu.union(x.under_in, x.over_out)
-    return len({dsu.find(a) for a in range(d.arc_count)}) + d.free_loops
+    return seifert_analysis(d).o_plus
 
 
 def diagram_sl(d: Diagram) -> int:
-    analysis = seifert_analysis(d)
-    c = counts(d)
-    return -analysis.circle_count + c.c_plus - c.c_minus
+    return seifert_analysis(d).sl
 
 
 def blocks(g: SignedMultigraph) -> list[tuple[int, ...]]:
@@ -202,35 +231,5 @@ def biconnected_blocks(vertex_count: int, ends: list[tuple[int, int]]) -> list[t
 
 
 def homogeneity(d: Diagram) -> HomogeneityReport:
-    analysis = seifert_analysis(d)
-    g = analysis.graph
-    c = counts(d)
-    factors = []
-    for block in blocks(g):
-        signs = {g.edges[ei].sign for ei in block}
-        sign = signs.pop() if len(signs) == 1 else 0
-        vertices = frozenset()
-        for ei in block:
-            vertices |= {g.edges[ei].u, g.edges[ei].v}
-        factors.append(Factor(vertices, block, sign))
-    factors.sort(key=lambda f: f.edge_ids)
-
-    is_homogeneous = all(f.sign != 0 for f in factors)
-    is_reduced = True
-    for f in factors:
-        valence: dict[int, int] = {}
-        for ei in f.edge_ids:
-            e = g.edges[ei]
-            valence[e.u] = valence.get(e.u, 0) + 1
-            valence[e.v] = valence.get(e.v, 0) + 1
-        if any(val == 1 for val in valence.values()):
-            is_reduced = False
-    edge_signs = {e.sign for e in g.edges}
-    is_special = len(edge_signs) <= 1
-    return HomogeneityReport(
-        is_homogeneous=is_homogeneous,
-        factors=tuple(factors),
-        is_reduced=is_reduced,
-        is_special=is_special,
-        is_positive_diagram=(c.c_minus == 0),
-    )
+    """Reads blocks of the Seifert graph, not faces: no planarity check."""
+    return seifert_analysis(d).homogeneity

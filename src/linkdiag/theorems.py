@@ -23,7 +23,7 @@ from .errors import (
 )
 from .graph_index import DEFAULT_VERTEX_CAP, IndexReport, ind_all
 from .homfly import DEFAULT_CROSSING_CAP, homfly
-from .seifert import blocks, diagram_sl, homogeneity, o_plus, seifert_analysis
+from .seifert import blocks, diagram_sl, seifert_analysis
 from . import diagram as diagram_mod
 
 
@@ -76,10 +76,10 @@ def abe_s(d: Diagram) -> int:
     c = counts(d)
     if c.split_parts > 1:
         raise SplitInputError(f"diagram has {c.split_parts} split parts")
-    report = homogeneity(d)
-    if not report.is_homogeneous:
+    analysis = seifert_analysis(d)
+    if not analysis.homogeneity.is_homogeneous:
         raise NotHomogeneousError("diagram is not homogeneous")
-    return diagram_sl(d) + 2 * o_plus(d) - 1
+    return analysis.sl + 2 * analysis.o_plus - 1
 
 
 def witness_sl(q: QPWitness, d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> WitnessSL:
@@ -100,19 +100,20 @@ def witness_sl(q: QPWitness, d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CA
 
 
 def braid_index_bounds(
-    d: Diagram,
-    crossing_cap: int = DEFAULT_CROSSING_CAP,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    idx: IndexReport | None = None,
+    d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> Bounds:
     analysis = seifert_analysis(d)
-    if idx is None:
-        idx = ind_all(analysis.graph, vertex_cap)
+    return index_bounds(d, analysis.circle_count, ind_all(analysis.graph, vertex_cap), crossing_cap)
+
+
+def index_bounds(
+    d: Diagram, circle_count: int, idx: IndexReport, crossing_cap: int = DEFAULT_CROSSING_CAP
+) -> Bounds:
+    """Bounds on b(K) from O(D), the index report of D and its HOMFLY."""
     if idx.size_limited:
         raise SizeLimitError("Seifert graph exceeds the index vertex cap")
-    o = analysis.circle_count
-    upper_mp = o - idx.ind
-    upper_refined = o - idx.ind_plus - idx.ind_minus
+    upper_mp = circle_count - idx.ind
+    upper_refined = circle_count - idx.ind_plus - idx.ind_minus
     lower = None
     omitted = False
     if len(d.crossings) <= crossing_cap:
@@ -126,7 +127,7 @@ def braid_index_bounds(
 
 def mirror_identity_check(d: Diagram) -> dict:
     analysis = seifert_analysis(d)
-    lhs = diagram_sl(d) + diagram_sl(diagram_mod.mirror(d))
+    lhs = analysis.sl + diagram_sl(diagram_mod.mirror(d))
     rhs = -2 * analysis.circle_count
     return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
 
@@ -142,7 +143,8 @@ def certify(
         raise ValueError(f"unknown certificate mode {mode!r}")
     trace: list[HypothesisCheck] = []
     c = counts(d)
-    report = homogeneity(d)
+    analysis = seifert_analysis(d)
+    report = analysis.homogeneity
     trace.append(HypothesisCheck("homogeneous", report.is_homogeneous, report.is_homogeneous))
     nonsplit = c.split_parts == 1
     trace.append(HypothesisCheck("non-split", c.split_parts, nonsplit))
@@ -157,13 +159,12 @@ def certify(
     chi4 = -sl_max
     trace.append(HypothesisCheck("witness-verified", ws.verified, True))
 
-    sl = diagram_sl(d)
-    analysis = seifert_analysis(d)
+    sl = analysis.sl
     idx = ind_all(analysis.graph, vertex_cap)
     # thm4 and cor_mp need the index; thm1 only loses the gap row below.
     bounds = None
     if not idx.size_limited or mode != "thm1":
-        bounds = braid_index_bounds(d, crossing_cap, vertex_cap, idx)
+        bounds = index_bounds(d, analysis.circle_count, idx, crossing_cap)
     if mode == "thm1":
         ok = sl_max == sl
         trace.append(HypothesisCheck("SL=sl(D)", {"SL": sl_max, "sl": sl}, ok))
@@ -172,17 +173,16 @@ def certify(
         ok = sl_max == value
         trace.append(HypothesisCheck("SL=sl(D)+2ind_minus", {"SL": sl_max, "sl+2ind_minus": value}, ok))
     else:  # cor_mp
-        mp_upper = analysis.circle_count - idx.ind
-        ok = bounds.pinned is not None and bounds.pinned == mp_upper
+        ok = bounds.pinned is not None and bounds.pinned == bounds.upper_mp
         trace.append(
-            HypothesisCheck("b(K)=O(D)-ind(D)", {"pinned": bounds.pinned, "O-ind": mp_upper}, ok)
+            HypothesisCheck("b(K)=O(D)-ind(D)", {"pinned": bounds.pinned, "O-ind": bounds.upper_mp}, ok)
         )
     applicable = applicable and ok
 
     # Gap bound O(D) - b >= O_plus(D) - 1; it needs a homogeneous non-split
     # diagram and a pinned braid index, so it is recorded only then.
     if bounds is not None and bounds.pinned is not None and report.is_homogeneous and nonsplit:
-        op = o_plus(d)
+        op = analysis.o_plus
         trace.append(
             HypothesisCheck(
                 "gap O-b>=O_plus-1",

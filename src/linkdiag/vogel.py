@@ -1,14 +1,16 @@
 """Transform a connected diagram into a closed braid on O(D) strands.
 
 Faces come from ``diagram.faces``, the package's one face tracer, on the
-combinatorial map that the crossing signs define.  Following Vogel's
-scheme, a face is *defective* when it carries two edges of distinct
-Seifert circles inducing the same orientation on the face boundary; an
-oriented Reidemeister-II insertion across such a pair (one positive and
-one negative crossing) removes the defect while preserving both the
-Seifert circle count and the writhe.  When no defect remains, the
-Seifert graph is a path of coherent circles and the braid word is read
-off by cutting each circle compatibly and merging the resulting chains.
+combinatorial map that the crossing signs define, so
+:func:`vogel_braidize` checks once that its input is planar.  Following
+Vogel's scheme, a face is *defective* when it carries two edges of
+distinct Seifert circles inducing the same orientation on the face
+boundary; an oriented Reidemeister-II insertion across such a pair (one
+positive and one negative crossing) removes the defect while preserving
+both the Seifert circle count and the writhe.  When no defect remains,
+the Seifert graph is a path of coherent circles and the braid word is
+read off by cutting each circle compatibly and merging the resulting
+chains.
 
 The braid word is not canonical; the contract is (strands, writhe,
 link type).  It is exact at any size: a ray is accepted only when the
@@ -22,7 +24,7 @@ raised.
 from __future__ import annotations
 
 from .braids import BraidWord, closure
-from .diagram import Crossing, Diagram, check_valid, counts, faces, from_behind, isomorphic
+from .diagram import Crossing, Diagram, check_planar, check_valid, counts, faces, from_behind, isomorphic
 from .errors import IterationLimitError, SplitInputError
 from .seifert import seifert_analysis
 
@@ -204,13 +206,12 @@ def _merge_chains(chains: list[list[int]]) -> list[int] | None:
 
 
 def vogel_braidize(d: Diagram) -> BraidWord:
-    check_valid(d)
+    check_planar(d)
     c = counts(d)
     if c.split_parts > 1:
         raise SplitInputError(f"diagram has {c.split_parts} split parts")
     analysis = seifert_analysis(d)
-    target_o = analysis.circle_count
-    target_writhe = c.writhe
+    target_o, target_sl = analysis.circle_count, analysis.sl
 
     current = d
     limit = 4 * (len(d.crossings) + target_o + 2) ** 2 + 16
@@ -221,7 +222,8 @@ def vogel_braidize(d: Diagram) -> BraidWord:
         analysis = seifert_analysis(current)
         if analysis.circle_count != target_o:
             raise IterationLimitError("R2 insertion changed the Seifert circle count")
-        if counts(current).writhe != target_writhe:
+        # O is unchanged, so sl = writhe - O checks the writhe.
+        if analysis.sl != target_sl:
             raise IterationLimitError("R2 insertion changed the writhe")
         if moves > limit:
             raise IterationLimitError(f"no coherent form after {moves} moves")

@@ -13,8 +13,9 @@ import itertools
 import random
 
 from linkdiag import DELTA, BraidWord, Diagram, LaurentPoly2, closure, counts, parse_braid
-from linkdiag.diagram import Crossing, rebuild
+from linkdiag.diagram import DSU, Crossing, faces, rebuild
 from linkdiag.seifert import GraphEdge, SignedMultigraph
+from linkdiag.vogel import _r2_insert
 
 # --- fixture diagrams --------------------------------------------------
 
@@ -84,6 +85,53 @@ def random_diagram(rng: random.Random, max_crossings: int = 8) -> Diagram:
     n = rng.randint(2, 4)
     length = rng.randint(1, max_crossings)
     return closure(random_word(rng, n, length))
+
+
+# --- planar diagrams that are not closed braids ------------------------
+
+def split_union(d1: Diagram, d2: Diagram, extra_loops: int = 0) -> Diagram:
+    """``d1`` beside ``d2`` (arcs of ``d2`` shifted), plus ``extra_loops``."""
+    shifted = tuple(Crossing(x.sign, *(arc + d1.arc_count for arc in x[1:])) for x in d2.crossings)
+    return Diagram(
+        d1.arc_count + d2.arc_count, d1.crossings + shifted, d1.free_loops + d2.free_loops + extra_loops
+    )
+
+
+def r2_moved(rng: random.Random, d: Diagram, moves: int) -> Diagram:
+    """``d`` after oriented R2 insertions across same-way arcs of one face.
+
+    Stops early, returning the diagram as it stands, when no face has a
+    same-way pair (a diagram with no crossings has no faces at all).
+    """
+    for _ in range(moves):
+        pairs = [
+            (a, b, fa)
+            for face in faces(d)
+            for a, fa in face
+            for b, fb in face
+            if a < b and fa == fb
+        ]
+        if not pairs:
+            break
+        d = _r2_insert(d, *rng.choice(pairs))
+    return d
+
+
+# --- independent O+ oracle ---------------------------------------------
+
+def oracle_o_plus(d: Diagram) -> int:
+    """O+ on arcs: smooth each negative crossing, glue all four arcs of each
+    positive one, and count the pieces and free loops."""
+    dsu = DSU(d.arc_count)
+    for x in d.crossings:
+        if x.sign < 0:
+            dsu.union(x.under_in, x.over_out)
+            dsu.union(x.over_in, x.under_out)
+        else:
+            dsu.union(x.under_in, x.over_in)
+            dsu.union(x.under_in, x.under_out)
+            dsu.union(x.under_in, x.over_out)
+    return len({dsu.find(a) for a in range(d.arc_count)}) + d.free_loops
 
 
 # --- independent HOMFLY oracle -----------------------------------------

@@ -13,7 +13,6 @@ from linkdiag import (
     QPFactor,
     QPWitness,
     abe_s,
-    braid_index_bounds,
     certify,
     closure,
     counts,
@@ -31,6 +30,7 @@ from linkdiag import (
 )
 from linkdiag.cli import run as cli_run
 from linkdiag.homfly import _smooth, _switch
+from linkdiag.theorems import index_bounds
 from linkdiag.vogel import vogel_braidize
 
 from helpers import (
@@ -163,7 +163,7 @@ def test_criterion_4_paper_inequalities_on_corpus():
                 failures.append(("eq1", d))
             if p.max_deg_v() > o + c.writhe - 1 - 2 * idx.ind_plus:
                 failures.append(("eq2", d))
-        b = braid_index_bounds(d, idx=idx)
+        b = index_bounds(d, o, idx)
         if b.upper_refined > b.upper_mp:
             failures.append(("refined<=mp", d))
         if b.lower_mfw is not None and b.lower_mfw > b.upper_refined:

@@ -63,6 +63,33 @@ def test_certify_golden(capsys):
     assert json.loads(out)["result"]["status"] == "Positive"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", fixture("trefoil.knot"), "--json"],
+        ["certify", fixture("trefoil.knot"), "--witness", fixture("qp_trefoil.json"), "--mode", "thm1"],
+    ],
+    ids=["analyze", "certify"],
+)
+def test_one_seifert_analysis_per_request(monkeypatch, capsys, argv):
+    import linkdiag.seifert
+
+    original = linkdiag.seifert.seifert_analysis
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    for name in [n for n in sys.modules if n == "linkdiag" or n.startswith("linkdiag.")]:
+        for attr, value in list(vars(sys.modules[name]).items()):
+            if value is original:
+                monkeypatch.setattr(sys.modules[name], attr, counted)
+    code, _out, _err = run_cli(capsys, argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_json_output_is_deterministic(capsys):
     _c1, out1, _ = run_cli(capsys, ["analyze", fixture("trefoil.knot"), "--json"])
     _c2, out2, _ = run_cli(capsys, ["analyze", fixture("trefoil.knot"), "--json"])

@@ -4,21 +4,27 @@ from hypothesis import given, settings, strategies as st
 from linkdiag import (
     Crossing,
     Diagram,
+    QPFactor,
+    QPWitness,
+    certify,
     closure,
     counts,
     diagram_from_json,
     diagram_to_json,
+    homfly,
     import_pd,
     mirror,
     parse_braid,
     parse_diagram,
+    seifert_analysis,
     serialize_diagram,
     validate,
+    vogel_braidize,
 )
 from linkdiag.diagram import check_planar, faces, from_behind, isomorphic
 from linkdiag.errors import AmbiguousOrientation, DiagramSyntaxError, InvariantError, NonPlanarError
 
-from helpers import fixture_diagrams, random_word
+from helpers import fixture_diagrams, random_word, split_union
 
 import random
 
@@ -146,21 +152,16 @@ def test_isomorphic_rejects_equal_signs_on_other_wiring():
     assert not isomorphic(a, b) and not isomorphic(b, a)
 
 
-def _union(a, b):
-    shifted = tuple(Crossing(x.sign, *(arc + a.arc_count for arc in x[1:])) for x in b.crossings)
-    return Diagram(a.arc_count + b.arc_count, a.crossings + shifted, a.free_loops + b.free_loops)
-
-
 def test_isomorphic_never_matches_an_unreached_part():
     trefoil = closure(parse_braid("braid n=2: 1 1 1"))
-    assert not isomorphic(_union(trefoil, trefoil), _union(trefoil, mirror(trefoil)))
+    assert not isomorphic(split_union(trefoil, trefoil), split_union(trefoil, mirror(trefoil)))
 
 
 def test_isomorphic_is_one_to_one():
     # T(2,4) wraps twice around each Hopf link of a split pair: every
     # crossing has an image, but two crossings share each one.
     hopf = closure(parse_braid("braid n=2: 1 1"))
-    assert not isomorphic(closure(parse_braid("braid n=2: 1 1 1 1")), _union(hopf, hopf))
+    assert not isomorphic(closure(parse_braid("braid n=2: 1 1 1 1")), split_union(hopf, hopf))
 
 
 def test_isomorphic_checks_every_sign():
@@ -240,15 +241,32 @@ def test_non_planar_code_rejected_in_every_format():
             parse(text)
 
 
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        homfly,
+        vogel_braidize,
+        lambda d: certify(QPWitness(2, (QPFactor((), 1), QPFactor((), 1))), d, "thm1"),
+    ],
+    ids=["homfly", "vogel_braidize", "certify"],
+)
+def test_face_reading_entry_points_reject_non_planar_code(entry_point):
+    # Built in code, so no parser has checked it; Seifert data needs no
+    # faces and still reads it.
+    assert seifert_analysis(NON_PLANAR).circle_count == 2
+    with pytest.raises(NonPlanarError):
+        entry_point(NON_PLANAR)
+
+
 def test_planarity_counts_every_split_part():
     trefoil = closure(parse_braid("braid n=2: 1 1 1"))
     hopf = closure(parse_braid("braid n=2: 1 1"))
-    both = _union(_union(trefoil, hopf), Diagram(0, (), 2))
+    both = split_union(split_union(trefoil, hopf), Diagram(0, (), 2))
     assert check_planar(both) is both
     assert parse_diagram(serialize_diagram(both)) == both
     # A planar part does not make up for a non-planar one.
     with pytest.raises(NonPlanarError):
-        check_planar(_union(trefoil, NON_PLANAR))
+        check_planar(split_union(trefoil, NON_PLANAR))
 
 
 def test_import_pd_trefoil():

@@ -15,12 +15,11 @@ from linkdiag import (
     seifert_analysis,
 )
 from linkdiag.braids import BraidWord
-from linkdiag.diagram import Crossing, Diagram, check_planar, faces
+from linkdiag.diagram import Crossing, Diagram, check_planar
 from linkdiag.errors import SizeLimitError
 from linkdiag.homfly import _r2_bigon, _smooth, _switch
-from linkdiag.vogel import _r2_insert
 
-from helpers import fixture_diagrams, oracle_homfly, random_diagram, random_word
+from helpers import fixture_diagrams, oracle_homfly, r2_moved, random_diagram, random_word, split_union
 
 TREFOIL_P = LaurentPoly2({(2, 0): 2, (4, 0): -1, (2, 2): 1})
 HOPF_P = LaurentPoly2({(1, 1): 1, (1, -1): 1, (3, -1): -1})
@@ -112,45 +111,18 @@ def test_mirror_substitution():
         assert homfly(mirror(d)) == homfly(d).substitute_v_neg_inv()
 
 
-def _split_union(d1: Diagram, d2: Diagram, extra_loops: int = 0) -> Diagram:
-    shift = d1.arc_count
-    return Diagram(
-        d1.arc_count + d2.arc_count,
-        d1.crossings
-        + tuple(
-            Crossing(x.sign, x.under_in + shift, x.over_in + shift, x.under_out + shift, x.over_out + shift)
-            for x in d2.crossings
-        ),
-        d1.free_loops + d2.free_loops + extra_loops,
-    )
-
-
-def _r2_moved(rng, d, moves):
-    """``d`` after oriented R2 insertions across same-way arcs of one face."""
-    for _ in range(moves):
-        pairs = [
-            (a, b, fa)
-            for face in faces(d)
-            for a, fa in face
-            for b, fb in face
-            if a < b and fa == fb
-        ]
-        d = _r2_insert(d, *rng.choice(pairs))
-    return d
-
-
 def test_split_union_multiplicativity():
     rng = random.Random(74)
     for _ in range(40):
         d1 = random_diagram(rng, 4)
         d2 = random_diagram(rng, 4)
-        assert homfly(_split_union(d1, d2)) == DELTA * homfly(d1) * homfly(d2)
+        assert homfly(split_union(d1, d2)) == DELTA * homfly(d1) * homfly(d2)
 
 
 def test_matches_unmemoized_oracle():
     rng = random.Random(77)
     cases = [random_diagram(rng, 9) for _ in range(80)]
-    cases += [_split_union(random_diagram(rng, 4), random_diagram(rng, 4), rng.randint(0, 2)) for _ in range(30)]
+    cases += [split_union(random_diagram(rng, 4), random_diagram(rng, 4), rng.randint(0, 2)) for _ in range(30)]
     cases += [closure(parse_braid("braid n=2: " + "1 " * q)) for q in range(1, 11)]
     cases += [closure(parse_braid("braid n=3: " + "1 2 " * q)) for q in range(1, 5)]
     for _ in range(30):
@@ -159,8 +131,8 @@ def test_matches_unmemoized_oracle():
     for _ in range(30):
         # Split parts with cancellable bigons, and free loops beside them.
         a = closure(BraidWord(3, (1, -1, 2, -2) + random_word(rng, 3, 2).letters))
-        b = _r2_moved(rng, closure(random_word(rng, 2, rng.randint(2, 3))), 1)
-        cases.append(_split_union(a, b, rng.randint(0, 2)))
+        b = r2_moved(rng, closure(random_word(rng, 2, rng.randint(2, 3))), 1)
+        cases.append(split_union(a, b, rng.randint(0, 2)))
     for d in cases:
         assert homfly(d) == oracle_homfly(d)
 
@@ -181,7 +153,7 @@ def test_r2_moved_closures_match_oracle():
     rng = random.Random(78)
     for _ in range(60):
         d = closure(random_word(rng, rng.randint(2, 4), rng.randint(2, 6)))
-        moved = check_planar(_r2_moved(rng, d, rng.randint(1, 3)))
+        moved = check_planar(r2_moved(rng, d, rng.randint(1, 3)))
         assert _r2_bigon(moved) is not None
         assert homfly(moved) == homfly(d) == oracle_homfly(moved)
 

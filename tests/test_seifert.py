@@ -18,7 +18,15 @@ from linkdiag.diagram import Crossing, Diagram
 from linkdiag.errors import InvariantError, LoopEdgeError
 from linkdiag.seifert import GraphEdge, SignedMultigraph
 
-from helpers import braid_corpus_small, fixture_diagrams, random_word
+from helpers import (
+    braid_corpus_small,
+    fixture_diagrams,
+    oracle_o_plus,
+    r2_moved,
+    random_diagram,
+    random_word,
+    split_union,
+)
 
 
 def test_trefoil_graph():
@@ -58,8 +66,9 @@ def test_free_loop_isolated_vertex():
 def test_loop_edge_rejected():
     # A (virtual-style) code whose smoothing lands both strands on one circle.
     d = Diagram(2, (Crossing(1, 0, 1, 0, 1),), 0)
-    with pytest.raises(LoopEdgeError):
-        seifert_analysis(d)
+    for invariant in (seifert_analysis, o_plus, diagram_sl, homogeneity):
+        with pytest.raises(LoopEdgeError):
+            invariant(d)
 
 
 def test_sl_values():
@@ -78,14 +87,36 @@ def test_o_plus_values():
     assert o_plus(fx["granny_chain"]) == 1
 
 
+def _non_braid_corpus():
+    """Seeded R2-moved closures, some with no crossings, and split unions
+    of them with free loops beside."""
+    rng = random.Random(6)
+    moved = []
+    for _ in range(300):
+        d = closure(random_word(rng, rng.randint(2, 4), rng.randint(0, 7)))
+        moved.append(r2_moved(rng, d, rng.randint(1, 3)))
+    unions = [
+        split_union(rng.choice(moved), random_diagram(rng, 5), rng.randint(0, 2)) for _ in range(300)
+    ]
+    return moved + unions
+
+
+def test_graph_invariants_match_arc_oracles_off_braids():
+    for d in _non_braid_corpus():
+        c = counts(d)
+        assert o_plus(d) == oracle_o_plus(d)
+        assert diagram_sl(d) == -seifert_analysis(d).circle_count + c.c_plus - c.c_minus
+        assert homogeneity(d).is_positive_diagram == (c.c_minus == 0)
+
+
+def test_r2_moved_without_faces_is_unchanged():
+    loops = closure(parse_braid("braid n=3:"))
+    assert r2_moved(random.Random(0), loops, 2) == loops
+
+
 def test_o_plus_split_additivity():
     a = closure(parse_braid("braid n=2: 1 1 1"))
-    shifted = tuple(
-        Crossing(x.sign, x.under_in + 6, x.over_in + 6, x.under_out + 6, x.over_out + 6)
-        for x in a.crossings
-    )
-    both = Diagram(12, a.crossings + shifted, 0)
-    assert o_plus(both) == 2
+    assert o_plus(split_union(a, a)) == 2
 
 
 def test_homogeneity_fixtures():
