@@ -76,7 +76,7 @@ def witness_from_json(text: str) -> QPWitness:
             QPFactor(tuple(int(x) for x in f.get("conj", [])), int(f["gen"])) for f in raw
         )
         strands = int(obj["strands"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DiagramSyntaxError(f"bad witness JSON: {exc}") from exc
     for f in factors:
         if not (1 <= f.generator <= strands - 1):

@@ -282,7 +282,7 @@ def diagram_from_json(text: str) -> Diagram:
             for x in obj.get("crossings", [])
         )
         d = Diagram(int(obj["arcs"]), crossings, int(obj.get("loops", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DiagramSyntaxError(f"bad JSON diagram fields: {exc}") from exc
     return check_planar(d)
 

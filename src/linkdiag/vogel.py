@@ -9,22 +9,24 @@ boundary; an oriented Reidemeister-II insertion across such a pair (one
 positive and one negative crossing) removes the defect while preserving
 both the Seifert circle count and the writhe.  When no defect remains,
 the Seifert graph is a path of coherent circles and the braid word is
-read off by cutting each circle compatibly and merging the resulting
-chains.
+read off along one ray from the braid axis: the circles are cut in path
+order, the first at its smallest arc and each next one at its smallest
+arc sharing a face with the previous cut.  The circles are concentric,
+so two such arcs meet only in the annulus between their circles, and the
+chains of crossings that start at the cuts merge into one word.
 
 The braid word is not canonical; the contract is (strands, writhe,
-link type).  It is exact at any size: a ray is accepted only when the
-closure of its word is the coherent diagram itself, relabelled, as it is
-or seen from behind (see ``diagram.isomorphic`` and
-``diagram.from_behind``).  R2 moves keep the link, so the word's closure
-is the input's link.  When no ray passes, ``IterationLimitError`` is
-raised.
+link type).  It is exact at any size: the word is accepted only when its
+closure is the coherent diagram itself, relabelled, as it is or seen
+from behind (see ``diagram.isomorphic`` and ``diagram.from_behind``).
+R2 moves keep the link, so the word's closure is the input's link.
+Otherwise ``IterationLimitError`` is raised.
 """
 
 from __future__ import annotations
 
 from .braids import BraidWord, closure
-from .diagram import Crossing, Diagram, check_planar, check_valid, counts, faces, from_behind, isomorphic
+from .diagram import Crossing, Diagram, check_planar, counts, faces, from_behind, isomorphic
 from .errors import IterationLimitError, SplitInputError
 from .seifert import seifert_analysis
 
@@ -49,7 +51,7 @@ def _r2_insert(d: Diagram, alpha_arc: int, beta_arc: int, forward: bool) -> Diag
     s1, s2 = (-1, +1) if forward else (+1, -1)
     crossings.append(Crossing(s1, b2, a1, b3, a2))  # first crossing along alpha
     crossings.append(Crossing(s2, b1, a2, b2, a3))  # second crossing along alpha
-    return check_valid(Diagram(n + 4, tuple(crossings), d.free_loops))
+    return Diagram(n + 4, tuple(crossings), d.free_loops)
 
 
 def _circle_walks(d: Diagram, analysis) -> dict[int, list[tuple[int, int]]]:
@@ -99,25 +101,16 @@ def _path_order(graph) -> list[int]:
 
 
 def _read_word(d: Diagram, analysis) -> BraidWord:
-    """Read a braid word off coherent ``d``.
+    """Read a braid word off coherent ``d`` along one ray from the axis.
 
-    A candidate is accepted only if its closure is ``d`` itself, as it is
-    or seen from behind; the two views are the same link.
+    The circles are cut in path order: the first at its smallest arc, each
+    next one at its smallest arc sharing a face with the previous cut.  The
+    word is accepted only if its closure is ``d`` itself, as it is or seen
+    from behind; the two views are the same link.
     """
-    views = (d, from_behind(d))
-    for word in _candidate_words(d, analysis):
-        cand = closure(word)
-        if any(isomorphic(cand, view) for view in views):
-            return word
-    raise IterationLimitError("no ray reads the coherent diagram as a closed braid")
-
-
-def _candidate_words(d: Diagram, analysis):
-    """Yield the words read off coherent ``d`` along each mergeable ray."""
     n = analysis.circle_count
     if not d.crossings:
-        yield BraidWord(max(n, 1), ())
-        return
+        return BraidWord(max(n, 1), ())
     graph = analysis.graph
     order = _path_order(graph)
     strand_of_circle = {c: i for i, c in enumerate(order)}
@@ -127,59 +120,41 @@ def _candidate_words(d: Diagram, analysis):
         if abs(i - j) != 1:
             raise IterationLimitError("crossing joins non-adjacent strands")
         gen_of_crossing[e.crossing_id] = min(i, j) + 1
-    sign_of = {ci: x.sign for ci, x in enumerate(d.crossings)}
 
+    faces_of_arc: dict[int, set[int]] = {}
+    for fid, face in enumerate(faces(d)):
+        for a, _fw in face:
+            faces_of_arc.setdefault(a, set()).add(fid)
+
+    # Each circle's crossing sequence starts right after its cut arc.
     walks = _circle_walks(d, analysis)
-    circle_arcs = [
-        {a for a, _c in walks[c]} if c in walks else set() for c in order
-    ]
-    face_sets = [{a for a, _fw in face} for face in faces(d)]
-
-    # Cut all circles along one transversal ray: pick one arc per circle so
-    # that consecutive picks share a face; the cut of each circle starts its
-    # crossing sequence right after its picked arc.
-    for ray in _rays(circle_arcs, face_sets):
-        chains = []
-        for i, c in enumerate(order):
-            if c not in walks:
-                continue
-            walk = walks[c]
-            k = next(j for j, (a, _cr) in enumerate(walk) if a == ray[i])
-            rotated = walk[k:] + walk[:k]
-            chains.append([cr for _a, cr in rotated])
-        linear = _merge_chains(chains)
-        if linear is None:
-            continue
-        letters = tuple(
-            gen_of_crossing[c] * (1 if sign_of[c] > 0 else -1) for c in linear
-        )
-        yield BraidWord(n, letters)
+    chains = []
+    cut = None
+    for c in order:
+        walk = walks[c]
+        shared = [
+            k for k, (a, _cr) in enumerate(walk)
+            if cut is None or faces_of_arc[a] & faces_of_arc[cut]
+        ]
+        if not shared:
+            raise IterationLimitError("no arc of the next Seifert circle shares a face with the cut")
+        k = min(shared, key=lambda j: walk[j][0])
+        cut = walk[k][0]
+        chains.append([cr for _a, cr in walk[k:] + walk[:k]])
+    letters = tuple(gen_of_crossing[c] * d.crossings[c].sign for c in _merge_chains(chains))
+    word = BraidWord(n, letters)
+    cand = closure(word)
+    if isomorphic(cand, d) or isomorphic(cand, from_behind(d)):
+        return word
+    raise IterationLimitError("the ray's word does not close to the coherent diagram")
 
 
-def _rays(circle_arcs: list[set[int]], face_sets: list[set[int]]):
-    """Yield tuples (one arc per circle) whose consecutive arcs share a face."""
-    active = [i for i, arcs in enumerate(circle_arcs) if arcs]
+def _merge_chains(chains: list[list[int]]) -> list[int]:
+    """Topological merge of precedence chains, smallest id first.
 
-    def extend(prefix: list[int], pos: int):
-        if pos == len(active):
-            full = [-1] * len(circle_arcs)
-            for idx, i in enumerate(active):
-                full[i] = prefix[idx]
-            yield tuple(full)
-            return
-        i = active[pos]
-        for a in sorted(circle_arcs[i]):
-            if prefix:
-                prev = prefix[-1]
-                if not any(prev in f and a in f for f in face_sets):
-                    continue
-            yield from extend(prefix + [a], pos + 1)
-
-    yield from extend([], 0)
-
-
-def _merge_chains(chains: list[list[int]]) -> list[int] | None:
-    """Topological merge of precedence chains; smallest-id-first, or None."""
+    A cycle leaves its crossings out, so the word then fails the closure
+    check.
+    """
     succ: dict[int, set[int]] = {}
     indeg: dict[int, int] = {}
     nodes: set[int] = set()
@@ -202,7 +177,7 @@ def _merge_chains(chains: list[list[int]]) -> list[int] | None:
             if indeg[b] == 0:
                 ready.append(b)
         ready.sort()
-    return out if len(out) == len(nodes) else None
+    return out
 
 
 def vogel_braidize(d: Diagram) -> BraidWord:

@@ -13,7 +13,7 @@ import itertools
 import random
 
 from linkdiag import DELTA, BraidWord, Diagram, LaurentPoly2, closure, counts, parse_braid
-from linkdiag.diagram import DSU, Crossing, faces, rebuild
+from linkdiag.diagram import DSU, Crossing, check_planar, faces, rebuild
 from linkdiag.seifert import GraphEdge, SignedMultigraph
 from linkdiag.vogel import _r2_insert
 
@@ -113,8 +113,32 @@ def r2_moved(rng: random.Random, d: Diagram, moves: int) -> Diagram:
         ]
         if not pairs:
             break
-        d = _r2_insert(d, *rng.choice(pairs))
+        d = check_planar(_r2_insert(d, *rng.choice(pairs)))
     return d
+
+
+def reverse_component(d: Diagram, rng: random.Random) -> Diagram:
+    """``d`` with one link component, chosen by ``rng``, run backwards.
+
+    Each crossing on the component swaps its in and out slots; its sign
+    flips when exactly one of its two strands was reversed.
+    """
+    strand = DSU(d.arc_count)
+    for x in d.crossings:
+        strand.union(x.under_in, x.under_out)
+        strand.union(x.over_in, x.over_out)
+    comp = rng.choice(sorted({strand.find(a) for a in range(d.arc_count)}))
+    crossings = []
+    for x in d.crossings:
+        ui, oi, uo, oo = x.under_in, x.over_in, x.under_out, x.over_out
+        flip_u = strand.find(ui) == comp
+        flip_o = strand.find(oi) == comp
+        if flip_u:
+            ui, uo = uo, ui
+        if flip_o:
+            oi, oo = oo, oi
+        crossings.append(Crossing(-x.sign if flip_u != flip_o else x.sign, ui, oi, uo, oo))
+    return check_planar(Diagram(d.arc_count, tuple(crossings), d.free_loops))
 
 
 # --- independent O+ oracle ---------------------------------------------

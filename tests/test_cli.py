@@ -278,7 +278,7 @@ def test_certify_size_limited_index(capsys, mode):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("factors", ['"x"', "[1]"])
+@pytest.mark.parametrize("factors", ['"x"', "[1]", '[{"conj": [1e400], "gen": 1}]'])
 def test_certify_bad_witness_factors(tmp_path, capsys, factors):
     witness = tmp_path / "w.json"
     witness.write_text('{"strands": 2, "factors": %s}' % factors)
@@ -287,6 +287,26 @@ def test_certify_bad_witness_factors(tmp_path, capsys, factors):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: bad witness JSON")
+
+
+@pytest.mark.parametrize("arcs", ["1e400", "Infinity"])
+def test_json_diagram_overflow_is_one_error(tmp_path, capsys, arcs):
+    path = tmp_path / "huge.json"
+    path.write_text('{"arcs": %s, "crossings": []}' % arcs)
+    code, out, err = run_cli(capsys, ["analyze", str(path), "--json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_witness_strands_overflow_is_one_error(tmp_path, capsys):
+    witness = tmp_path / "w.json"
+    witness.write_text('{"strands": 1e400, "factors": []}')
+    argv = ["certify", fixture("trefoil.knot"), "--witness", str(witness), "--mode", "thm1", "--json"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def _certify_at_cap(tmp_path, capsys, factors, cap):

@@ -15,7 +15,7 @@ from linkdiag import (
     seifert_analysis,
 )
 from linkdiag.braids import BraidWord
-from linkdiag.diagram import Crossing, Diagram, check_planar
+from linkdiag.diagram import Crossing, Diagram
 from linkdiag.errors import SizeLimitError
 from linkdiag.homfly import _r2_bigon, _smooth, _switch
 
@@ -153,7 +153,7 @@ def test_r2_moved_closures_match_oracle():
     rng = random.Random(78)
     for _ in range(60):
         d = closure(random_word(rng, rng.randint(2, 4), rng.randint(2, 6)))
-        moved = check_planar(r2_moved(rng, d, rng.randint(1, 3)))
+        moved = r2_moved(rng, d, rng.randint(1, 3))
         assert _r2_bigon(moved) is not None
         assert homfly(moved) == homfly(d) == oracle_homfly(moved)
 

@@ -13,10 +13,10 @@ from linkdiag import (
     seifert_analysis,
     vogel_braidize,
 )
-from linkdiag.diagram import Crossing, Diagram
+from linkdiag.diagram import Crossing, Diagram, from_behind
 from linkdiag.errors import IterationLimitError, SplitInputError
 
-from helpers import fixture_diagrams, fixture_words, oracle_homfly, random_word
+from helpers import fixture_diagrams, fixture_words, oracle_homfly, r2_moved, random_word, reverse_component
 
 
 def _check_word(d, word):
@@ -119,14 +119,41 @@ def test_incoherent_within_cap_is_verified():
 
 
 def test_incoherent_link_exact_without_cap():
-    # Rays are checked by isomorphism, so no size leaves a word unchecked;
-    # the closure's HOMFLY is compared here with the independent oracle.
+    # The word is checked by isomorphism, so no size leaves it unchecked;
+    # the closure's HOMFLY is also compared with the independent oracle.
     d = parse_diagram(INCOHERENT_LINK)
     word, caught = _braidize_recording(d)
     assert caught == []
     assert oracle_homfly(closure(word)) == oracle_homfly(d)
     assert word.strands == seifert_analysis(d).circle_count == 5
     assert word.exponent_sum == counts(d).writhe == 0
+
+
+def test_non_braid_diagrams_round_trip():
+    # R2-moved closures, their views from behind, and closures with one
+    # component reversed; HOMFLY is compared within its default cap.
+    rng = random.Random(34)
+    seen = compared = 0
+    while seen < 200:
+        d = closure(random_word(rng, rng.randint(2, 4), rng.randint(2, 5)))
+        c = counts(d)
+        kind = seen % 3
+        if c.split_parts != 1 or (kind == 2 and c.link_components < 2):
+            continue
+        if kind == 0:
+            d = r2_moved(rng, d, rng.randint(1, 2))
+        elif kind == 1:
+            d = from_behind(r2_moved(rng, d, rng.randint(1, 2)))
+        else:
+            d = reverse_component(d, rng)
+        seen += 1
+        word = vogel_braidize(d)
+        assert word.strands == seifert_analysis(d).circle_count
+        assert word.exponent_sum == counts(d).writhe
+        if len(word.letters) <= 16:
+            assert homfly(closure(word)) == homfly(d)
+            compared += 1
+    assert compared > 100
 
 
 def test_no_accepted_ray_raises(monkeypatch):
