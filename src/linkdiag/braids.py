@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .diagram import Crossing, Diagram, check_valid, rebuild
+from .diagram import Crossing, Diagram, rebuild
 from .errors import BraidRangeError, DiagramSyntaxError
 
 
@@ -109,12 +109,14 @@ def closure(w: BraidWord) -> Diagram:
 
     Strands are oriented downward; at a positive letter the strand coming
     from the left position passes over.  Strands touched by no letter
-    close up as free loops.
+    close up as free loops and cost nothing beyond their count.
     """
     n, letters = w.strands, w.letters
-    # Provisional arc ids; the closure identification collapses them.
-    next_id = n
-    current = list(range(n))
+    # Provisional arc ids: one per touched position, in position order, then
+    # two per letter; the closure identification collapses them.
+    touched = sorted({p for letter in letters for p in (abs(letter) - 1, abs(letter))})
+    current = {p: i for i, p in enumerate(touched)}
+    next_id = len(touched)
     raw: list[Crossing] = []  # over provisional arc ids
     for letter in letters:
         j = abs(letter) - 1  # crossing between positions j and j+1 (0-based)
@@ -126,4 +128,5 @@ def closure(w: BraidWord) -> Diagram:
         else:
             raw.append(Crossing(-1, left, right, out_right, out_left))
         current[j], current[j + 1] = out_left, out_right
-    return check_valid(rebuild(next_id, enumerate(current), raw, 0))
+    joins = [(i, current[p]) for i, p in enumerate(touched)]
+    return rebuild(next_id, joins, raw, n - len(touched))

@@ -209,8 +209,15 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_INPUT
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its errors reach ``run`` as one ``error:`` line; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise LinkdiagError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="linkdiag")
+    parser = _Parser(prog="linkdiag")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -254,9 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -331,12 +331,18 @@ def isomorphic(a: Diagram, b: Diagram) -> bool:
     )
 
 
-def _next_ports(d: Diagram) -> list[int]:
-    """Port ``2*crossing + role`` (0 under, 1 over) -> port its out-arc enters."""
-    head = [0] * d.arc_count
+def in_ports(d: Diagram) -> list[int]:
+    """For each arc, the port ``2*crossing + role`` (0 under, 1 over) it runs into."""
+    port = [0] * d.arc_count
     for ci, x in enumerate(d.crossings):
-        head[x.under_in] = 2 * ci
-        head[x.over_in] = 2 * ci + 1
+        port[x.under_in] = 2 * ci
+        port[x.over_in] = 2 * ci + 1
+    return port
+
+
+def _next_ports(d: Diagram) -> list[int]:
+    """Port ``2*crossing + role`` -> port its out-arc enters."""
+    head = in_ports(d)
     return [head[a] for x in d.crossings for a in (x.under_out, x.over_out)]
 
 
@@ -369,16 +375,15 @@ def counts(d: Diagram) -> DiagramCounts:
     c_plus = sum(1 for x in d.crossings if x.sign > 0)
     c_minus = len(d.crossings) - c_plus
 
-    strands = DSU(d.arc_count)
-    parts = DSU(d.arc_count)
+    # Join along strands for the components, then across crossings for the parts.
+    dsu = DSU(d.arc_count)
     for x in d.crossings:
-        strands.union(x.under_in, x.under_out)
-        strands.union(x.over_in, x.over_out)
-        parts.union(x.under_in, x.over_in)
-        parts.union(x.under_in, x.under_out)
-        parts.union(x.under_in, x.over_out)
-    link_components = len({strands.find(a) for a in range(d.arc_count)}) + d.free_loops
-    split_parts = len({parts.find(a) for a in range(d.arc_count)}) + d.free_loops
+        dsu.union(x.under_in, x.under_out)
+        dsu.union(x.over_in, x.over_out)
+    link_components = len({dsu.find(a) for a in range(d.arc_count)}) + d.free_loops
+    for x in d.crossings:
+        dsu.union(x.under_in, x.over_in)
+    split_parts = len({dsu.find(a) for a in range(d.arc_count)}) + d.free_loops
     return DiagramCounts(c_plus, c_minus, c_plus - c_minus, link_components, split_parts)
 
 

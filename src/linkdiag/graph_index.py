@@ -148,11 +148,9 @@ def _search_block(m: Matrix, pairs: list[tuple[int, int]], memo: Memo) -> int:
     return best
 
 
-def ind_value(g: SignedMultigraph, mode: int = 0, memo: Memo | None = None) -> int:
+def ind_value(g: SignedMultigraph, mode: int = 0) -> int:
     """Exact index; mode 0 allows any lone edge, +1/-1 restrict by sign."""
-    if memo is None:
-        memo = {}
-    return _ind_matrix(_matrix(g, mode), memo)
+    return _ind_matrix(_matrix(g, mode), {})
 
 
 def _witness(

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Crossing, Diagram, check_planar, dart_successors, rebuild
+from .diagram import Crossing, Diagram, check_planar, dart_successors, in_ports, rebuild
 from .errors import SizeLimitError, ZeroPolynomialError
 from .graph_index import IndexReport
 from .poly import DELTA, LaurentPoly2
@@ -70,17 +70,13 @@ def _first_discordant(d: Diagram) -> tuple[int | None, int]:
     component count.
 
     Passes are ordered by traversing components (ordered by smallest arc)
-    from their smallest arc along orientation.  The walk covers every
-    component, so the count (free loops included) comes with it.
+    from their smallest arc along orientation, through ``diagram.in_ports``.
+    The walk covers every component, so the count (free loops included)
+    comes with it.
     """
     crossings = d.crossings
     n = d.arc_count
-    in_crossing = [0] * n
-    in_under = [False] * n
-    for ci, x in enumerate(crossings):
-        in_crossing[x.under_in] = ci
-        in_under[x.under_in] = True
-        in_crossing[x.over_in] = ci
+    port = in_ports(d)
     seen = [False] * n
     visited = [False] * len(crossings)
     found = None
@@ -92,14 +88,13 @@ def _first_discordant(d: Diagram) -> tuple[int | None, int]:
         a = start
         while not seen[a]:
             seen[a] = True
-            ci = in_crossing[a]
-            under = in_under[a]
+            ci, over = port[a] >> 1, port[a] & 1
             if not visited[ci]:
                 visited[ci] = True
-                if under and found is None:
+                if not over and found is None:
                     found = ci
             x = crossings[ci]
-            a = x.under_out if under else x.over_out
+            a = x.over_out if over else x.under_out
     return found, components
 
 

@@ -2,15 +2,16 @@
 
 Oriented smoothing at a crossing joins ``under_in`` to ``over_out`` and
 ``over_in`` to ``under_out``; Seifert circles are the orbits of arcs under
-these joins.  Circles are numbered by their smallest contained arc id, with
-one isolated vertex appended per free loop.
+these joins.  :func:`seifert_analysis` walks each circle once along the
+smoothing from its smallest arc, so circles are numbered by that arc.  A
+free loop is one isolated vertex, counted but never stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import DSU, Diagram, check_valid
+from .diagram import DSU, Diagram, check_valid, in_ports
 from .errors import InvariantError, LoopEdgeError
 
 
@@ -86,6 +87,7 @@ class SeifertAnalysis:
     circle_count: int
     circle_of_arc: tuple[int, ...]
     graph: SignedMultigraph
+    circles: tuple[tuple[int, ...], ...]  # arcs of each circle in walk order; no free loops
 
     @property
     def sl(self) -> int:
@@ -96,18 +98,20 @@ class SeifertAnalysis:
     def o_plus(self) -> int:
         """Components of the graph on its positive edges: O after smoothing
         every negative crossing and keeping every positive one."""
-        dsu = DSU(self.circle_count)
+        n = len(self.circles)
+        dsu = DSU(n)
         for e in self.graph.edges:
             if e.sign > 0:
                 dsu.union(e.u, e.v)
-        return len({dsu.find(v) for v in range(self.circle_count)})
+        return len({dsu.find(v) for v in range(n)}) + self.circle_count - n
 
     @property
     def homogeneity(self) -> HomogeneityReport:
         """One sign per block (Cromwell); reduced when no block is a bridge."""
         g = self.graph
         factors = []
-        for block in blocks(g):
+        # Free loops are isolated vertices, which belong to no block.
+        for block in biconnected_blocks(len(self.circles), [(e.u, e.v) for e in g.edges]):
             signs = {g.edges[ei].sign for ei in block}
             sign = signs.pop() if len(signs) == 1 else 0
             vertices = frozenset()
@@ -146,25 +150,32 @@ class HomogeneityReport:
 def seifert_analysis(d: Diagram) -> SeifertAnalysis:
     """Circles and signed graph; reads no faces, so ``check_valid`` suffices."""
     check_valid(d)
-    dsu = DSU(d.arc_count)
-    for x in d.crossings:
-        dsu.union(x.under_in, x.over_out)
-        dsu.union(x.over_in, x.under_out)
-    reps = sorted({dsu.find(a) for a in range(d.arc_count)})
-    circle_id = {rep: i for i, rep in enumerate(reps)}
-    circle_of_arc = tuple(circle_id[dsu.find(a)] for a in range(d.arc_count))
-    n_arc_circles = len(reps)
+    port = in_ports(d)
+    circle_of = [-1] * d.arc_count
+    circles = []
+    for start in range(d.arc_count):
+        if circle_of[start] >= 0:
+            continue
+        walk = []
+        a = start
+        while circle_of[a] < 0:
+            circle_of[a] = len(circles)
+            walk.append(a)
+            x = d.crossings[port[a] >> 1]
+            a = x.under_out if port[a] & 1 else x.over_out
+        circles.append(tuple(walk))
     edges = []
     for ci, x in enumerate(d.crossings):
-        u = circle_of_arc[x.under_in]
-        v = circle_of_arc[x.over_in]
+        u = circle_of[x.under_in]
+        v = circle_of[x.over_in]
         if u == v:
             raise LoopEdgeError(
                 f"crossing {ci} joins Seifert circle {u} to itself; not admissible"
             )
         edges.append(GraphEdge(u, v, x.sign, ci))
-    graph = SignedMultigraph(n_arc_circles + d.free_loops, tuple(edges))
-    return SeifertAnalysis(n_arc_circles + d.free_loops, circle_of_arc, graph)
+    circle_count = len(circles) + d.free_loops
+    graph = SignedMultigraph(circle_count, tuple(edges))
+    return SeifertAnalysis(circle_count, tuple(circle_of), graph, tuple(circles))
 
 
 def o_plus(d: Diagram) -> int:

@@ -210,10 +210,9 @@ def mp_reduce(d: Diagram, crossing_id: int, crossing_cap: int = DEFAULT_CROSSING
     the nugatory case is supported: the crossing must be the unique edge
     between its two circles and a cut edge of the Seifert graph.
     """
-    check_valid(d)
+    analysis = seifert_analysis(d)
     if not 0 <= crossing_id < len(d.crossings):
         raise CrossingRangeError(f"crossing {crossing_id} out of range for {len(d.crossings)} crossings")
-    analysis = seifert_analysis(d)
     g = analysis.graph
     edge = g.edges[crossing_id]
     mult = g.multiplicity()
@@ -225,7 +224,7 @@ def mp_reduce(d: Diagram, crossing_id: int, crossing_cap: int = DEFAULT_CROSSING
     x = d.crossings[crossing_id]
     joins = ((x.under_in, x.under_out), (x.over_in, x.over_out))
     rest = d.crossings[:crossing_id] + d.crossings[crossing_id + 1:]
-    result = check_valid(rebuild(d.arc_count, joins, rest, d.free_loops))
+    result = rebuild(d.arc_count, joins, rest, d.free_loops)
 
     if seifert_analysis(result).circle_count != analysis.circle_count - 1:
         raise NotCutEdgeError("reduction did not merge exactly one circle pair")

@@ -13,7 +13,8 @@ read off along one ray from the braid axis: the circles are cut in path
 order, the first at its smallest arc and each next one at its smallest
 arc sharing a face with the previous cut.  The circles are concentric,
 so two such arcs meet only in the annulus between their circles, and the
-chains of crossings that start at the cuts merge into one word.
+chains of crossings that start at the cuts merge into one word by a head
+sweep: a crossing goes next once it heads the chains of both its circles.
 
 The braid word is not canonical; the contract is (strands, writhe,
 link type).  It is exact at any size: the word is accepted only when its
@@ -26,7 +27,7 @@ Otherwise ``IterationLimitError`` is raised.
 from __future__ import annotations
 
 from .braids import BraidWord, closure
-from .diagram import Crossing, Diagram, check_planar, counts, faces, from_behind, isomorphic
+from .diagram import Crossing, Diagram, check_planar, counts, faces, from_behind, in_ports, isomorphic
 from .errors import IterationLimitError, SplitInputError
 from .seifert import seifert_analysis
 
@@ -52,30 +53,6 @@ def _r2_insert(d: Diagram, alpha_arc: int, beta_arc: int, forward: bool) -> Diag
     crossings.append(Crossing(s1, b2, a1, b3, a2))  # first crossing along alpha
     crossings.append(Crossing(s2, b1, a2, b2, a3))  # second crossing along alpha
     return Diagram(n + 4, tuple(crossings), d.free_loops)
-
-
-def _circle_walks(d: Diagram, analysis) -> dict[int, list[tuple[int, int]]]:
-    """Per circle: (arc, crossing consuming it) pairs in cyclic order."""
-    in_slot: dict[int, tuple[int, bool]] = {}
-    for ci, x in enumerate(d.crossings):
-        in_slot[x.under_in] = (ci, True)
-        in_slot[x.over_in] = (ci, False)
-    walks: dict[int, list[tuple[int, int]]] = {}
-    seen: set[int] = set()
-    for start in range(d.arc_count):
-        if start in seen:
-            continue
-        circle = analysis.circle_of_arc[start]
-        walk = []
-        a = start
-        while a not in seen:
-            seen.add(a)
-            ci, under = in_slot[a]
-            walk.append((a, ci))
-            x = d.crossings[ci]
-            a = x.over_out if under else x.under_out
-        walks[circle] = walk
-    return walks
 
 
 def _path_order(graph) -> list[int]:
@@ -126,21 +103,19 @@ def _read_word(d: Diagram, analysis) -> BraidWord:
         for a, _fw in face:
             faces_of_arc.setdefault(a, set()).add(fid)
 
-    # Each circle's crossing sequence starts right after its cut arc.
-    walks = _circle_walks(d, analysis)
+    # Each circle's crossing sequence starts at its cut arc: the crossing
+    # each arc runs into, in walk order.
+    port = in_ports(d)
     chains = []
     cut = None
     for c in order:
-        walk = walks[c]
-        shared = [
-            k for k, (a, _cr) in enumerate(walk)
-            if cut is None or faces_of_arc[a] & faces_of_arc[cut]
-        ]
+        walk = analysis.circles[c]
+        shared = [a for a in walk if cut is None or faces_of_arc[a] & faces_of_arc[cut]]
         if not shared:
             raise IterationLimitError("no arc of the next Seifert circle shares a face with the cut")
-        k = min(shared, key=lambda j: walk[j][0])
-        cut = walk[k][0]
-        chains.append([cr for _a, cr in walk[k:] + walk[:k]])
+        cut = min(shared)
+        k = walk.index(cut)
+        chains.append([port[a] >> 1 for a in walk[k:] + walk[:k]])
     letters = tuple(gen_of_crossing[c] * d.crossings[c].sign for c in _merge_chains(chains))
     word = BraidWord(n, letters)
     cand = closure(word)
@@ -150,33 +125,26 @@ def _read_word(d: Diagram, analysis) -> BraidWord:
 
 
 def _merge_chains(chains: list[list[int]]) -> list[int]:
-    """Topological merge of precedence chains, smallest id first.
+    """Merge the chains, in path order, into one word by a head sweep.
 
-    A cycle leaves its crossings out, so the word then fails the closure
-    check.
+    A crossing of generator g lies on chains g-1 and g, and is ready when
+    it heads both.  The smallest ready crossing goes next and both heads
+    advance: Kahn's order, smallest first.  A stuck sweep leaves crossings
+    out, so the word then fails the closure check.
     """
-    succ: dict[int, set[int]] = {}
-    indeg: dict[int, int] = {}
-    nodes: set[int] = set()
-    for chain in chains:
-        for c in chain:
-            nodes.add(c)
-            succ.setdefault(c, set())
-            indeg.setdefault(c, 0)
-        for a, b in zip(chain, chain[1:]):
-            if b not in succ[a]:
-                succ[a].add(b)
-                indeg[b] += 1
-    ready = sorted(c for c in nodes if indeg[c] == 0)
+    heads = [0] * len(chains)
+
+    def head(k: int) -> int | None:
+        return chains[k][heads[k]] if heads[k] < len(chains[k]) else None
+
     out = []
-    while ready:
-        c = ready.pop(0)
+    while ready := [
+        (head(k), k) for k in range(len(chains) - 1) if head(k) is not None and head(k) == head(k + 1)
+    ]:
+        c, k = min(ready)
         out.append(c)
-        for b in sorted(succ[c]):
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-        ready.sort()
+        heads[k] += 1
+        heads[k + 1] += 1
     return out
 
 

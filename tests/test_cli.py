@@ -63,6 +63,21 @@ def test_certify_golden(capsys):
     assert json.loads(out)["result"]["status"] == "Positive"
 
 
+def count_calls(monkeypatch, original):
+    """Route every linkdiag module's name for ``original`` through a counter."""
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    for name in [n for n in sys.modules if n == "linkdiag" or n.startswith("linkdiag.")]:
+        for attr, value in list(vars(sys.modules[name]).items()):
+            if value is original:
+                monkeypatch.setattr(sys.modules[name], attr, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -74,20 +89,33 @@ def test_certify_golden(capsys):
 def test_one_seifert_analysis_per_request(monkeypatch, capsys, argv):
     import linkdiag.seifert
 
-    original = linkdiag.seifert.seifert_analysis
-    calls = []
-
-    def counted(d):
-        calls.append(d)
-        return original(d)
-
-    for name in [n for n in sys.modules if n == "linkdiag" or n.startswith("linkdiag.")]:
-        for attr, value in list(vars(sys.modules[name]).items()):
-            if value is original:
-                monkeypatch.setattr(sys.modules[name], attr, counted)
+    calls = count_calls(monkeypatch, linkdiag.seifert.seifert_analysis)
     code, _out, _err = run_cli(capsys, argv)
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "command, braid, expected",
+    [
+        (["analyze"], "braid n=2: 1 1 1", 2),
+        (["certify", "--witness", fixture("qp_trefoil.json"), "--mode", "thm1"], "braid n=2: 1 1 1", 3),
+        (["braidize"], "braid n=2: 1 1 1", 2),
+        (["reduce", "--crossing", "3"], "braid n=3: 1 1 1 2", 4),
+    ],
+    ids=["analyze", "certify", "braidize", "reduce"],
+)
+def test_check_valid_calls_per_request(tmp_path, monkeypatch, capsys, command, braid, expected):
+    # A closure is valid by construction, and a Seifert analysis validates
+    # its diagram itself, so neither is checked again by its caller.
+    import linkdiag.diagram
+
+    path = tmp_path / "k.braid"
+    path.write_text(braid + "\n")
+    calls = count_calls(monkeypatch, linkdiag.diagram.check_valid)
+    code, _out, _err = run_cli(capsys, command[:1] + [str(path)] + command[1:])
+    assert code == 0
+    assert len(calls) == expected
 
 
 def test_json_output_is_deterministic(capsys):
@@ -334,3 +362,48 @@ def test_certify_unverified_witness_warns(tmp_path, capsys):
     caveat = "witness not verified: crossing cap exceeded"
     assert _certify_at_cap(tmp_path, capsys, factors, -1) == ([False], "Positive", [caveat])
     assert _certify_at_cap(tmp_path, capsys, factors, 16) == ([True], "Positive", [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", fixture("trefoil.knot"), "--bogus"],
+        ["analyze", fixture("trefoil.knot"), "--max-crossings", "abc"],
+        ["certify", fixture("trefoil.knot"), "--mode", "thm1"],
+        ["certify", fixture("trefoil.knot"), "--witness", fixture("qp_trefoil.json"), "--mode", "thm9"],
+        [],
+    ],
+    ids=["unknown-flag", "bad-int", "missing-witness", "bad-choice", "no-command"],
+)
+def test_bad_flag_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_huge_strand_and_loop_counts_cost_no_memory(tmp_path, capsys):
+    # Free loops and strands no letter touches are counted, never stored.
+    import tracemalloc
+
+    n = 10**6
+    loops = tmp_path / "loops.json"
+    loops.write_text(json.dumps({"arcs": 0, "loops": n, "crossings": []}))
+    braid = tmp_path / "wide.braid"
+    braid.write_text(f"braid n={n}: 1\n")
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"strands": n, "factors": []}))
+    cases = [
+        (["analyze", str(loops), "--json"], 0),
+        (["analyze", str(braid), "--json"], 0),
+        (["certify", fixture("trefoil.knot"), "--witness", str(witness), "--mode", "thm1"], 4),
+    ]
+    for argv, expected in cases:
+        tracemalloc.start()
+        try:
+            code, _out, _err = run_cli(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == expected
+        assert peak < 10 * 2**20, (argv[0], peak)

@@ -21,7 +21,7 @@ from linkdiag import (
     validate,
     vogel_braidize,
 )
-from linkdiag.diagram import check_planar, faces, from_behind, isomorphic
+from linkdiag.diagram import check_planar, faces, from_behind, in_ports, isomorphic
 from linkdiag.errors import AmbiguousOrientation, DiagramSyntaxError, InvariantError, NonPlanarError
 
 from helpers import fixture_diagrams, random_word, split_union
@@ -87,6 +87,16 @@ def test_counts_examples():
     hopf = counts(closure(parse_braid("braid n=2: 1 1")))
     assert (hopf.c_plus, hopf.c_minus, hopf.writhe) == (2, 0, 2)
     assert (hopf.link_components, hopf.split_parts) == (2, 1)
+
+
+def test_in_ports_name_the_slot_each_arc_runs_into():
+    rng = random.Random(14)
+    for _ in range(50):
+        d = closure(random_word(rng, rng.randint(2, 4), rng.randint(0, 8)))
+        port = in_ports(d)
+        assert len(port) == d.arc_count
+        for ci, x in enumerate(d.crossings):
+            assert (port[x.under_in], port[x.over_in]) == (2 * ci, 2 * ci + 1)
 
 
 def test_split_union_parts():

@@ -109,6 +109,22 @@ def test_graph_invariants_match_arc_oracles_off_braids():
         assert homogeneity(d).is_positive_diagram == (c.c_minus == 0)
 
 
+def test_circles_walk_the_smoothing_from_their_smallest_arc():
+    for d in _non_braid_corpus():
+        a = seifert_analysis(d)
+        smoothed = {}
+        for x in d.crossings:
+            smoothed[x.under_in] = x.over_out
+            smoothed[x.over_in] = x.under_out
+        assert len(a.circles) + d.free_loops == a.circle_count
+        assert sorted(arc for circle in a.circles for arc in circle) == list(range(d.arc_count))
+        assert [circle[0] for circle in a.circles] == sorted(min(circle) for circle in a.circles)
+        for i, circle in enumerate(a.circles):
+            assert circle[0] == min(circle)
+            assert [smoothed[arc] for arc in circle] == list(circle[1:] + circle[:1])
+            assert {a.circle_of_arc[arc] for arc in circle} == {i}
+
+
 def test_r2_moved_without_faces_is_unchanged():
     loops = closure(parse_braid("braid n=3:"))
     assert r2_moved(random.Random(0), loops, 2) == loops
