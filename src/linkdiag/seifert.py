@@ -110,8 +110,7 @@ class SeifertAnalysis:
         """One sign per block (Cromwell); reduced when no block is a bridge."""
         g = self.graph
         factors = []
-        # Free loops are isolated vertices, which belong to no block.
-        for block in biconnected_blocks(len(self.circles), [(e.u, e.v) for e in g.edges]):
+        for block in blocks(g):
             signs = {g.edges[ei].sign for ei in block}
             sign = signs.pop() if len(signs) == 1 else 0
             vertices = frozenset()
@@ -190,9 +189,11 @@ def blocks(g: SignedMultigraph) -> list[tuple[int, ...]]:
     """Biconnected blocks of a loop-free multigraph as tuples of edge indices.
 
     Parallel edges land in a common block; a bridge forms a block of its
-    own.  Isolated vertices belong to no block.
+    own.  Isolated vertices belong to no block, so the search covers only
+    the vertices up to the largest edge endpoint: free loops cost nothing.
     """
-    return biconnected_blocks(g.vertex_count, [(e.u, e.v) for e in g.edges])
+    ends = [(e.u, e.v) for e in g.edges]
+    return biconnected_blocks(1 + max(map(max, ends), default=-1), ends)
 
 
 def biconnected_blocks(vertex_count: int, ends: list[tuple[int, int]]) -> list[tuple[int, ...]]:

@@ -393,10 +393,15 @@ def test_huge_strand_and_loop_counts_cost_no_memory(tmp_path, capsys):
     braid.write_text(f"braid n={n}: 1\n")
     witness = tmp_path / "w.json"
     witness.write_text(json.dumps({"strands": n, "factors": []}))
+    reducible = tmp_path / "reducible.braid"
+    reducible.write_text(f"braid n={n}: 1 1 1 2\n")
     cases = [
         (["analyze", str(loops), "--json"], 0),
         (["analyze", str(braid), "--json"], 0),
         (["certify", fixture("trefoil.knot"), "--witness", str(witness), "--mode", "thm1"], 4),
+        # The bridge check finds the Seifert-graph blocks before HOMFLY
+        # refuses the free loops.
+        (["reduce", str(reducible), "--crossing", "3"], 3),
     ]
     for argv, expected in cases:
         tracemalloc.start()

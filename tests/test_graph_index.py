@@ -1,6 +1,7 @@
 import random
 
 from linkdiag import closure, dhl_check, ind_all, ind_value, mirror, parse_braid, seifert_analysis
+from linkdiag import graph_index
 from linkdiag.graph_index import IndexReport
 from linkdiag.seifert import GraphEdge, SignedMultigraph, blocks
 
@@ -89,6 +90,35 @@ def test_oracle_agreement_random():
         assert r.ind == oracle_ind_signed(g, 0)
         assert r.ind_plus == oracle_ind_signed(g, +1)
         assert r.ind_minus == oracle_ind_signed(g, -1)
+
+
+def test_blocked_pairs_lower_the_search_bound(monkeypatch):
+    # Each block stops at n minus the components of its movable pairs,
+    # minus one more for each component that holds a blocked pair: a
+    # blocked pair's ends never merge.  The contraction count pins that
+    # stop; a search bounded by the movable forest alone makes 10 and 42.
+    calls = []
+    contract = graph_index._contract
+
+    def counting(m, a, b):
+        calls.append((a, b))
+        return contract(m, a, b)
+
+    monkeypatch.setattr(graph_index, "_contract", counting)
+    square = SignedMultigraph(
+        4, tuple(GraphEdge(i, (i + 1) % 4, 1, i) for i in range(4)) + (GraphEdge(0, 2, 1, 4), GraphEdge(0, 2, 1, 5))
+    )
+    signs = (1, -1, 1, -1, 1, -1)
+    hexagon = SignedMultigraph(
+        6, tuple(GraphEdge(i, (i + 1) % 6, signs[i], i) for i in range(6)) + (GraphEdge(0, 3, 1, 6), GraphEdge(0, 3, -1, 7))
+    )
+    for g, contractions, indices in ((square, 6, (2, 2, 0)), (hexagon, 21, (4, 3, 3))):
+        calls.clear()
+        r = ind_all(g)
+        assert len(calls) == contractions
+        assert (r.ind, r.ind_plus, r.ind_minus) == indices
+        assert r.ind == oracle_ind(graph_matrix(g))
+        assert indices == tuple(oracle_ind_signed(g, mode) for mode in (0, +1, -1))
 
 
 def test_dhl_iff_ind_zero_random():
