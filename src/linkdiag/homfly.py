@@ -7,39 +7,62 @@ Convention (fixed, no runtime switches)::
 so a k-component unlink evaluates to delta^(k-1) with
 delta = (v^-1 - v)/z.
 
-Each node first cancels an oriented Reidemeister-II pair when it has
-one: two crossings of opposite sign that bound a bigon face (see
-``diagram.faces``), where one strand passes over at both.  The node's
-value is then that of the diagram with both crossings removed, since
-HOMFLY is an isotopy invariant.  A bigon is read off the faces, so
-:func:`homfly` checks once that its input is planar
-(``diagram.check_planar``); switching, smoothing and cancelling keep a
-diagram planar.
+States.  :func:`homfly` checks its ``Diagram`` once (planarity and both
+caps) and then works on states: one ``bytes`` object per subdiagram.  It
+holds the four slot arcs of each crossing in ``Crossing`` order
+(``u_in o_in u_out o_out``), then one sign per crossing (1 positive,
+0 negative), then the free-loop count.  Two states are equal exactly
+when the diagrams they stand for are equal, so a state is the memo key.
+Values of 256 or more are stored 2, 4 or 8 bytes wide.  A state of C
+crossings holds 5C + 1 values, so its length modulo 5 names its width
+(1, 2, 4, and 3 for 8), and states of different widths never compare
+equal.  At the default 16-crossing cap a state is at most 114 bytes, well
+under the 512 bytes up to which CPython's small-object allocator serves
+it; larger blocks go to ``malloc`` and fragment the heap around whatever
+the caller keeps.
 
-A node without such a pair uses the descending-diagram strategy:
+Splices.  Smoothing a crossing and cancelling a Reidemeister-II pair are
+one local edit (:func:`_splice`).  The at most 8 arcs at the removed
+crossings lie on two strands, which are one if they share an arc.  A
+strand that closed up becomes a free loop; any other keeps its smallest
+arc, and every surviving arc ``x`` becomes ``x - #(removed arcs < x)``.
+That is exactly the numbering of ``diagram.rebuild``, so each state
+equals the rebuilt diagram.  On a one-byte state both steps are
+``bytes.translate`` calls.
+
+R2 folding.  A bigon face with crossings of opposite sign is an oriented
+Reidemeister-II pair, and cancelling it keeps the polynomial.  Each child
+state is folded, cancelling the first such bigon in dart order until none
+is left, before the memo sees it, so the memo holds no intermediate R2
+state.  A switch keeps the combinatorial map: the counterclockwise slot
+order after it is a rotation of the one before (at a positive crossing,
+``u_in o_in u_out o_out`` becomes ``o_in u_out o_out u_in``).
+A folded state has no opposite-sign bigon, so after a switch any such
+bigon has a dart at the switched crossing, and only its 4 darts are
+checked.  After a splice every dart is.
+
+Expansion.  A folded state uses the descending-diagram strategy:
 components are ordered by smallest arc id and traversed from their
 smallest arc; the first crossing whose first pass is on the under-strand
-is switched (branch 1) and smoothed (branch 2).  Descending diagrams are
-unlinks.  The same traversal counts the link components, so a leaf needs
-no second pass.  The worst case stays exponential in the crossings, on
-subdiagrams with no cancellable bigon.
+is switched and smoothed, and ``P = v^(2s) P_switched + s v^s z
+P_smoothed`` for its sign s.  A state with no such crossing is descending,
+an unlink, and the walk that found none counted its components.  The
+worst case stays exponential in the crossings, on subdiagrams with no
+cancellable bigon.  Nodes are evaluated from an explicit stack, so a long
+diagram under a raised cap does not exhaust Python's recursion limit.
 
-Different branches often reach the same subdiagram, so each top-level
-:func:`homfly` call keeps a memo keyed on the exact ``Diagram`` (arc ids,
-crossings and free loops) and evaluates each subdiagram once.  The memo
-is created per call and dropped when it returns: nothing is cached across
-calls, so memory does not grow with the number of diagrams seen.
-
-A leaf of k components costs a power delta^(k-1) of k terms, so
-:func:`homfly` refuses more free loops than its crossing cap, as it
-refuses more crossings.
+Each top-level call keeps its own memo and drops it on return: nothing is
+cached across calls.  A leaf of k components costs a power delta^(k-1) of
+k terms, so :func:`homfly` refuses more free loops than its crossing cap,
+as it refuses more crossings.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
-from .diagram import Crossing, Diagram, check_planar, dart_successors, in_ports, rebuild
+from .diagram import Crossing, Diagram, check_planar
 from .errors import SizeLimitError, ZeroPolynomialError
 from .graph_index import IndexReport
 from .poly import DELTA, LaurentPoly2
@@ -47,10 +70,9 @@ from .seifert import seifert_analysis
 
 DEFAULT_CROSSING_CAP = 16
 
-_V2 = LaurentPoly2.monomial(1, 2, 0)
-_VZ = LaurentPoly2.monomial(1, 1, 1)
-_VINV2 = LaurentPoly2.monomial(1, -2, 0)
-_VINVZ = LaurentPoly2.monomial(1, -1, 1)
+# Array type codes for the wide state widths, keyed by width modulo 5.
+_WIDE = {array(code).itemsize % 5: code for code in "HIQ"}
+_IDENTITY = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -65,37 +87,222 @@ class DegreeReport:
     eq2_tight: bool
 
 
-def _first_discordant(d: Diagram) -> tuple[int | None, int]:
-    """First crossing whose first pass is on the under-strand, and the link
-    component count.
+def _pack(values) -> bytes:
+    """The state holding ``values``, one byte each when every value fits."""
+    try:
+        return bytes(values)
+    except ValueError:
+        top = max(values)
+        code = "H" if top < 1 << 16 else "I" if top < 1 << 32 else "Q"
+        return array(code, values).tobytes()
+
+
+def _ints(state: bytes):
+    """The state's values as an indexable sequence of ints."""
+    width = len(state) % 5
+    return state if width == 1 else array(_WIDE[width], state).tolist()
+
+
+def _state(d: Diagram) -> bytes:
+    signs = [int(x.sign > 0) for x in d.crossings]
+    return _pack([a for x in d.crossings for a in x[1:]] + signs + [d.free_loops])
+
+
+def _diagram(state: bytes) -> Diagram:
+    v = _ints(state)
+    c4 = len(v) // 5 * 4
+    crossings = tuple(
+        Crossing(1 if v[c4 + i] else -1, *v[4 * i:4 * i + 4]) for i in range(c4 // 4)
+    )
+    return Diagram(c4 // 2, crossings, v[-1])
+
+
+def _first_discordant(v) -> tuple[int | None, int]:
+    """First crossing whose first pass is on the under-strand, else the
+    link component count.
 
     Passes are ordered by traversing components (ordered by smallest arc)
-    from their smallest arc along orientation, through ``diagram.in_ports``.
-    The walk covers every component, so the count (free loops included)
-    comes with it.
+    from their smallest arc along orientation.  The walk stops at the
+    first such crossing; only a descending state is walked to the end,
+    and its count (free loops included) comes with it.
     """
-    crossings = d.crossings
-    n = d.arc_count
-    port = in_ports(d)
-    seen = [False] * n
-    visited = [False] * len(crossings)
-    found = None
-    components = d.free_loops
-    for start in range(n):
+    c4 = len(v) // 5 * 4
+    head = [0] * (c4 // 2)  # the in-slot where each arc ends
+    for p in range(0, c4, 4):
+        head[v[p]] = p
+        head[v[p + 1]] = p + 1
+    seen = bytearray(c4 // 2)
+    over_passed = bytearray(c4 // 4)
+    components = v[-1]
+    for start in range(c4 // 2):
         if seen[start]:
             continue
         components += 1
         a = start
         while not seen[a]:
-            seen[a] = True
-            ci, over = port[a] >> 1, port[a] & 1
-            if not visited[ci]:
-                visited[ci] = True
-                if not over and found is None:
-                    found = ci
-            x = crossings[ci]
-            a = x.over_out if over else x.under_out
-    return found, components
+            seen[a] = 1
+            p = head[a]
+            if p & 1:
+                over_passed[p >> 2] = 1
+            elif not over_passed[p >> 2]:
+                return p >> 2, components
+            a = v[p + 2]  # the out-slot of the same strand
+    return None, components
+
+
+def _splice(v, drop: tuple[int, ...], strands) -> bytes:
+    """Remove the crossings ``drop`` (ascending) and join the strands through them.
+
+    ``strands`` holds two pairs ``(arcs, joins)``: the arcs of one strand
+    through the removed crossings, joined end to end at ``joins`` of its
+    passes.  Two strands that share an arc are one.  A strand with as
+    many joins as arcs closed up and becomes a free loop; any other keeps
+    its smallest arc.
+    """
+    c4 = len(v) // 5 * 4
+    (arcs1, joins1), (arcs2, joins2) = strands
+    if not arcs1.isdisjoint(arcs2):
+        strands = ((arcs1 | arcs2, joins1 + joins2),)
+    merged, into, removed = [], [], []
+    loops = v[-1]
+    for arcs, joins in strands:
+        if len(arcs) == joins:
+            removed += arcs
+            loops += 1
+        else:
+            least = min(arcs)
+            for x in arcs:
+                if x != least:
+                    merged.append(x)
+                    into.append(least)
+    removed += merged
+    slots, signs, lo = v[:0], v[:0], 0
+    for ci in drop:
+        slots += v[4 * lo:4 * ci]
+        signs += v[c4 + lo:c4 + ci]
+        lo = ci + 1
+    slots += v[4 * lo:c4]
+    signs += v[c4 + lo:-1]
+    # Merged arcs take their strand's smallest arc, and each surviving arc
+    # x becomes x - #(removed arcs < x).
+    n = c4 // 2
+    if type(v) is bytes and loops < 256:
+        kept = _IDENTITY[:n].translate(None, bytes(removed))
+        merge = bytes.maketrans(bytes(merged), bytes(into))
+        shift = bytes.maketrans(kept, _IDENTITY[:len(kept)])
+        return slots.translate(merge).translate(shift) + signs + bytes((loops,))
+    relabel = {x: i for i, x in enumerate(sorted(set(range(n)).difference(removed)))}
+    relabel.update(zip(merged, map(relabel.__getitem__, into)))
+    return _pack([*map(relabel.__getitem__, slots), *signs, loops])
+
+
+def _smoothed(v, ci: int) -> bytes:
+    """Oriented smoothing: remove crossing ci, joining u_in~o_out, o_in~u_out."""
+    p = 4 * ci
+    return _splice(v, (ci,), (({v[p], v[p + 3]}, 1), ({v[p + 1], v[p + 2]}, 1)))
+
+
+def _cancelled(v, c1: int, c2: int) -> bytes:
+    """Remove a Reidemeister-II pair (c1 < c2), joining u_in~u_out and o_in~o_out at both.
+
+    One strand passes under at both crossings and one over, so the under
+    arcs of both crossings lie on one strand, and so do the over arcs.
+    """
+    p1, p2 = 4 * c1, 4 * c2
+    under = {v[p1], v[p1 + 2], v[p2], v[p2 + 2]}
+    over = {v[p1 + 1], v[p1 + 3], v[p2 + 1], v[p2 + 3]}
+    return _splice(v, (c1, c2), ((under, 2), (over, 2)))
+
+
+def _switched(v, ci: int) -> bytes:
+    """Crossing ci switched: its strands trade under and over, and its sign flips."""
+    p = 4 * ci
+    w = bytearray(v) if type(v) is bytes else list(v)
+    w[p:p + 4] = w[p + 1], w[p], w[p + 3], w[p + 2]
+    w[len(w) // 5 * 4 + ci] ^= 1
+    return _pack(w)
+
+
+def _bigon(v, darts=None) -> tuple[int, int] | None:
+    """The crossings of an opposite-sign bigon face, or None.
+
+    Darts are numbered by slot position, ``4*crossing + slot``.  Slots run
+    0 1 2 3 counterclockwise at a positive crossing and 0 3 2 1 at a
+    negative one.  A dart steps along its arc to the arc's other end,
+    then back one slot there, which keeps the face on its left; a dart
+    whose successor's successor is itself runs round a bigon.  On a planar
+    diagram a bigon with opposite signs is an oriented Reidemeister-II
+    pair.  Of the bigons through ``darts`` (all darts by default), the one
+    whose first dart comes first is returned.
+    """
+    c4 = len(v) // 5 * 4
+    signs = v[c4:-1]
+    if 0 not in signs or 1 not in signs:
+        return None
+    # The dart before each arc's head end and before its tail end.
+    before_head = [0] * (c4 // 2)
+    before_tail = [0] * (c4 // 2)
+    for p in range(0, c4, 4):
+        if signs[p >> 2]:
+            before_head[v[p]], before_head[v[p + 1]] = p + 3, p
+            before_tail[v[p + 2]], before_tail[v[p + 3]] = p + 1, p + 2
+        else:
+            before_head[v[p]], before_head[v[p + 1]] = p + 1, p + 2
+            before_tail[v[p + 2]], before_tail[v[p + 3]] = p + 3, p
+    best = None
+    # A dart at an in-slot runs to its arc's tail, one at an out-slot to its head.
+    for t in range(c4) if darts is None else darts:
+        u = before_head[v[t]] if t & 2 else before_tail[v[t]]
+        if signs[t >> 2] != signs[u >> 2] and (before_head[v[u]] if u & 2 else before_tail[v[u]]) == t:
+            if darts is None:  # the scan runs in dart order
+                return t >> 2, u >> 2
+            if best is None or min(t, u) < best[0]:
+                best = min(t, u), t >> 2, u >> 2
+    return best and best[1:]
+
+
+def _folded(state: bytes, pair: tuple[int, int] | None) -> bytes:
+    """Cancel opposite-sign bigons, each the first in dart order, until none is left."""
+    while pair is not None:
+        state = _cancelled(_ints(state), *sorted(pair))
+        pair = _bigon(_ints(state))
+    return state
+
+
+def _evaluate(root: bytes) -> LaurentPoly2:
+    memo: dict[bytes, LaurentPoly2] = {}
+    unlinks: dict[int, LaurentPoly2] = {}
+    stack: list[tuple[bytes, tuple | None]] = [(root, None)]
+    while stack:
+        state, branches = stack.pop()
+        if branches is not None:
+            s, switched, smoothed = branches
+            # P+ = v^2 P- + v z P0 and P- = v^-2 P+ - v^-1 z P0
+            memo[state] = memo[switched].shifted_sum(2 * s, memo[smoothed], s, 1, s)
+            continue
+        if state in memo:
+            continue
+        v = _ints(state)
+        ci, components = _first_discordant(v)
+        if ci is None:
+            if components == 0:
+                raise ZeroPolynomialError("empty diagram has no HOMFLY normalization")
+            if components not in unlinks:
+                unlinks[components] = DELTA ** (components - 1)
+            memo[state] = unlinks[components]
+            continue
+        # A state here has no opposite-sign bigon, and a switch keeps the
+        # faces, so any such bigon after it has a dart at ci.
+        switched = _switched(v, ci)
+        switched = _folded(switched, _bigon(_ints(switched), range(4 * ci, 4 * ci + 4)))
+        smoothed = _smoothed(v, ci)
+        smoothed = _folded(smoothed, _bigon(_ints(smoothed)))
+        s = 1 if v[len(v) // 5 * 4 + ci] else -1
+        stack.append((state, (s, switched, smoothed)))
+        for child in (smoothed, switched):
+            if child not in memo:
+                stack.append((child, None))
+    return memo[root]
 
 
 def _switch(d: Diagram, ci: int) -> Diagram:
@@ -106,63 +313,15 @@ def _switch(d: Diagram, ci: int) -> Diagram:
 
 
 def _smooth(d: Diagram, ci: int) -> Diagram:
-    """Oriented smoothing: remove crossing ci, joining u_in~o_out, o_in~u_out."""
-    x = d.crossings[ci]
-    joins = ((x.under_in, x.over_out), (x.over_in, x.under_out))
-    return rebuild(d.arc_count, joins, d.crossings[:ci] + d.crossings[ci + 1:], d.free_loops)
-
-
-def _r2_bigon(d: Diagram) -> tuple[int, int] | None:
-    """Two crossings of opposite sign that bound a bigon face, or None.
-
-    A dart whose successor's successor is itself runs round a bigon.  On
-    a planar diagram, a bigon with opposite signs is an oriented
-    Reidemeister-II pair.  Diagrams of one sign have none.
-    """
-    crossings = d.crossings
-    if len({x.sign for x in crossings}) < 2:
-        return None
-    succ = dart_successors(d)
-    for t, u in enumerate(succ):
-        if crossings[t >> 2].sign != crossings[u >> 2].sign and succ[u] == t:
-            return t >> 2, u >> 2
-    return None
+    return _diagram(_smoothed(_ints(_state(d)), ci))
 
 
 def _cancel(d: Diagram, c1: int, c2: int) -> Diagram:
-    """Remove a Reidemeister-II pair, joining u_in~u_out and o_in~o_out at both."""
-    joins = []
-    for x in (d.crossings[c1], d.crossings[c2]):
-        joins += [(x.under_in, x.under_out), (x.over_in, x.over_out)]
-    rest = tuple(x for ci, x in enumerate(d.crossings) if ci != c1 and ci != c2)
-    return rebuild(d.arc_count, joins, rest, d.free_loops)
+    return _diagram(_cancelled(_ints(_state(d)), *sorted((c1, c2))))
 
 
-def _homfly_rec(d: Diagram, memo: dict[Diagram, LaurentPoly2]) -> LaurentPoly2:
-    p = memo.get(d)
-    if p is not None:
-        return p
-    pair = _r2_bigon(d)
-    if pair is not None:
-        p = _homfly_rec(_cancel(d, *pair), memo)
-        memo[d] = p
-        return p
-    ci, comps = _first_discordant(d)
-    if ci is None:
-        if comps == 0:
-            raise ZeroPolynomialError("empty diagram has no HOMFLY normalization")
-        p = DELTA ** (comps - 1)
-    else:
-        switched = _homfly_rec(_switch(d, ci), memo)
-        smoothed = _homfly_rec(_smooth(d, ci), memo)
-        if d.crossings[ci].sign > 0:
-            # P+ = v^2 P- + v z P0
-            p = _V2 * switched + _VZ * smoothed
-        else:
-            # P- = v^-2 P+ - v^-1 z P0
-            p = _VINV2 * switched - _VINVZ * smoothed
-    memo[d] = p
-    return p
+def _r2_bigon(d: Diagram) -> tuple[int, int] | None:
+    return _bigon(_ints(_state(d)))
 
 
 def homfly(d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly2:
@@ -175,7 +334,8 @@ def homfly(d: Diagram, crossing_cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly2
         raise SizeLimitError(
             f"{d.free_loops} free loops exceeds HOMFLY cap {crossing_cap}"
         )
-    return _homfly_rec(d, {})
+    root = _state(d)
+    return _evaluate(_folded(root, _bigon(_ints(root))))
 
 
 def degree_report(p: LaurentPoly2, d: Diagram, idx: IndexReport) -> DegreeReport:

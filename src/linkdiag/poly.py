@@ -96,6 +96,20 @@ class LaurentPoly2:
     def shifted(self, v_exp: int, z_exp: int, coeff: int = 1) -> "LaurentPoly2":
         return LaurentPoly2({(v + v_exp, z + z_exp): c * coeff for (v, z), c in self._terms.items()})
 
+    def shifted_sum(self, v_exp: int, other: "LaurentPoly2", other_v: int, other_z: int, coeff: int) -> "LaurentPoly2":
+        """``v^v_exp self + coeff v^other_v z^other_z other``, in one pass with no products."""
+        terms = {(v + v_exp, z): c for (v, z), c in self._terms.items()}
+        for (v, z), c in other._terms.items():
+            key = (v + other_v, z + other_z)
+            new = terms.get(key, 0) + coeff * c
+            if new:
+                terms[key] = new
+            else:
+                del terms[key]
+        result = LaurentPoly2.__new__(LaurentPoly2)
+        result._terms = terms
+        return result
+
     def substitute_v_neg_inv(self) -> "LaurentPoly2":
         """Apply v -> -1/v (the mirror substitution)."""
         return LaurentPoly2({(-v, z): c * (-1) ** (v & 1) for (v, z), c in self._terms.items()})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 from linkdiag import DELTA, BraidWord, Diagram, LaurentPoly2, closure, counts, parse_braid
 from linkdiag.diagram import DSU, Crossing, check_planar, faces, rebuild
@@ -117,6 +118,34 @@ def r2_moved(rng: random.Random, d: Diagram, moves: int) -> Diagram:
     return d
 
 
+def r1_kinked(rng: random.Random, d: Diagram, kinks: int) -> Diagram:
+    """``d`` after Reidemeister-I kinks on arcs chosen by ``rng``.
+
+    A kink on arc ``a`` adds a crossing where ``a`` ends: the strand runs
+    through it, round a loop arc and out on a new arc, which takes ``a``'s
+    old place at its head.  The strand passes first under or first over,
+    and the crossing takes either sign.  Both ends of the loop arc are
+    neighbouring slots of the new crossing, so the kink bounds a monogon
+    and the diagram stays planar.  Stops early on a diagram with no
+    crossings.
+    """
+    for _ in range(kinks):
+        if not d.crossings:
+            break
+        a, loop, rest = rng.randrange(d.arc_count), d.arc_count, d.arc_count + 1
+        crossings = [
+            Crossing(x.sign, *(rest if arc == a and slot < 2 else arc for slot, arc in enumerate(x[1:])))
+            for x in d.crossings
+        ]
+        sign = rng.choice((1, -1))
+        if rng.random() < 0.5:
+            crossings.append(Crossing(sign, a, loop, loop, rest))
+        else:
+            crossings.append(Crossing(sign, loop, a, rest, loop))
+        d = check_planar(Diagram(d.arc_count + 2, tuple(crossings), d.free_loops))
+    return d
+
+
 def reverse_component(d: Diagram, rng: random.Random) -> Diagram:
     """``d`` with one link component, chosen by ``rng``, run backwards.
 
@@ -139,6 +168,26 @@ def reverse_component(d: Diagram, rng: random.Random) -> Diagram:
             oi, oo = oo, oi
         crossings.append(Crossing(-x.sign if flip_u != flip_o else x.sign, ui, oi, uo, oo))
     return check_planar(Diagram(d.arc_count, tuple(crossings), d.free_loops))
+
+
+# --- call counting ------------------------------------------------------
+
+def count_calls(monkeypatch, original):
+    """Route every linkdiag module's name for ``original`` through a counter.
+
+    Returns the list of argument tuples, one per call.
+    """
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name in [n for n in sys.modules if n == "linkdiag" or n.startswith("linkdiag.")]:
+        for attr, value in list(vars(sys.modules[name]).items()):
+            if value is original:
+                monkeypatch.setattr(sys.modules[name], attr, counted)
+    return calls
 
 
 # --- independent O+ oracle ---------------------------------------------

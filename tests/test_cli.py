@@ -7,6 +7,8 @@ import pytest
 
 from linkdiag.cli import run
 
+from helpers import count_calls
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -61,21 +63,6 @@ def test_certify_golden(capsys):
     assert code == 0
     assert out == golden("golden_certify_trefoil.json")
     assert json.loads(out)["result"]["status"] == "Positive"
-
-
-def count_calls(monkeypatch, original):
-    """Route every linkdiag module's name for ``original`` through a counter."""
-    calls = []
-
-    def counted(d):
-        calls.append(d)
-        return original(d)
-
-    for name in [n for n in sys.modules if n == "linkdiag" or n.startswith("linkdiag.")]:
-        for attr, value in list(vars(sys.modules[name]).items()):
-            if value is original:
-                monkeypatch.setattr(sys.modules[name], attr, counted)
-    return calls
 
 
 @pytest.mark.parametrize(
@@ -197,6 +184,18 @@ def test_free_loops_over_cap_exit_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["homfly", str(path), "--json"])
     assert code == 3 and out == ""
     assert err == "error: 99997 free loops exceeds HOMFLY cap 16\n"
+
+
+def test_deep_skein_under_a_raised_cap(tmp_path, capsys):
+    # T(2, 1000) takes the skein about a thousand levels deep, past
+    # Python's recursion limit; the explicit stack evaluates it.
+    path = tmp_path / "t1000.braid"
+    path.write_text("braid n=2: " + "1 " * 1000 + "\n")
+    code, out, err = run_cli(capsys, ["analyze", str(path), "--json", "--max-crossings", "5000"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["result"]["bounds"]["lower_mfw"] == 2
+    assert report["warnings"] == []
 
 
 def test_analyze_warns_on_free_loops_over_cap(tmp_path, capsys):
