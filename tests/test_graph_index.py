@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from linkdiag import closure, dhl_check, ind_all, ind_value, mirror, parse_braid, seifert_analysis
 from linkdiag import graph_index
-from linkdiag.graph_index import IndexReport
+from linkdiag.graph_index import BLOCKED, MOVABLE, ReductionWitness, WitnessStep
 from linkdiag.seifert import GraphEdge, SignedMultigraph, blocks
 
 from helpers import (
@@ -92,19 +94,22 @@ def test_oracle_agreement_random():
         assert r.ind_minus == oracle_ind_signed(g, -1)
 
 
-def test_blocked_pairs_lower_the_search_bound(monkeypatch):
-    # Each block stops at n minus the components of its movable pairs,
-    # minus one more for each component that holds a blocked pair: a
-    # blocked pair's ends never merge.  The contraction count pins that
-    # stop; a search bounded by the movable forest alone makes 10 and 42.
-    calls = []
-    contract = graph_index._contract
+def test_search_stops_at_the_part_floor(monkeypatch):
+    # A remaining vertex set needs one part per component of its movable
+    # pairs, and two for a component that is not itself a part (its pairs
+    # close a cycle or hold a blocked pair).  On these blocks that floor is
+    # the fewest parts in every mode, so each search ends at its first
+    # partition that meets it.  The number of parts tried pins that stop;
+    # the same search without it tries 9 and 54.
+    tried = []
+    parts = graph_index._parts
 
-    def counting(m, a, b):
-        calls.append((a, b))
-        return contract(m, a, b)
+    def counting(movable, blocked, rest):
+        for part in parts(movable, blocked, rest):
+            tried.append(part)
+            yield part
 
-    monkeypatch.setattr(graph_index, "_contract", counting)
+    monkeypatch.setattr(graph_index, "_parts", counting)
     square = SignedMultigraph(
         4, tuple(GraphEdge(i, (i + 1) % 4, 1, i) for i in range(4)) + (GraphEdge(0, 2, 1, 4), GraphEdge(0, 2, 1, 5))
     )
@@ -112,11 +117,16 @@ def test_blocked_pairs_lower_the_search_bound(monkeypatch):
     hexagon = SignedMultigraph(
         6, tuple(GraphEdge(i, (i + 1) % 6, signs[i], i) for i in range(6)) + (GraphEdge(0, 3, 1, 6), GraphEdge(0, 3, -1, 7))
     )
-    for g, contractions, indices in ((square, 6, (2, 2, 0)), (hexagon, 21, (4, 3, 3))):
-        calls.clear()
+    for g, count, indices in ((square, 2, (2, 2, 0)), (hexagon, 20, (4, 3, 3))):
+        tried.clear()
         r = ind_all(g)
-        assert len(calls) == contractions
+        assert len(tried) == count
         assert (r.ind, r.ind_plus, r.ind_minus) == indices
+        everything = (1 << g.vertex_count) - 1
+        for mode, value in zip((0, +1, -1), indices):
+            m = graph_index._matrix(g, mode)
+            floor = graph_index._floor(graph_index._rows(m, MOVABLE), graph_index._rows(m, BLOCKED), everything)
+            assert floor == g.vertex_count - value
         assert r.ind == oracle_ind(graph_matrix(g))
         assert indices == tuple(oracle_ind_signed(g, mode) for mode in (0, +1, -1))
 
@@ -296,3 +306,116 @@ def test_negative_special_block_lemma():
             sub = _sub_diagram(d, [g.edges[ei].crossing_id for ei in f.edge_ids])
             sub_g = seifert_analysis(sub).graph
             assert ind_all(sub_g).ind_minus < o_plus(sub) - 1
+
+
+def _positive_graph(n, pairs):
+    return SignedMultigraph(n, tuple(GraphEdge(u, v, 1, i) for i, (u, v) in enumerate(pairs)))
+
+
+def _grid(rows, cols):
+    at = lambda r, c: r * cols + c  # noqa: E731
+    pairs = [(at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    pairs += [(at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return _positive_graph(rows * cols, pairs)
+
+
+WORST_CASES = {
+    "star": (_positive_graph(14, [(0, v) for v in range(1, 14)]), 13),
+    "path": (_positive_graph(14, [(v, v + 1) for v in range(13)]), 13),
+    "cycle": (_positive_graph(14, [(v, (v + 1) % 14) for v in range(14)]), 12),
+    "wheel": (_positive_graph(14, [(0, v) for v in range(1, 14)] + [(v, v % 13 + 1) for v in range(1, 14)]), 12),
+    "ladder_2x7": (_grid(2, 7), 12),
+    "grid_3x4": (_grid(3, 4), 10),
+    "k_5_5": (_positive_graph(10, [(u, v) for u in range(5) for v in range(5, 10)]), 8),
+    "k_2_12": (_positive_graph(14, [(u, v) for u in range(2) for v in range(2, 14)]), 12),
+}
+
+
+def test_worst_case_families_at_the_vertex_cap():
+    # Single positive edges: every pair is movable in modes 0 and +1 and
+    # blocked in mode -1.  Each 2-connected family keeps two parts or more
+    # (a cycle needs two trees, a 3x4 grid and K_{5,5} two each), and every
+    # witness replays as a legal run of its length.
+    for name, (g, value) in WORST_CASES.items():
+        r = ind_all(g)
+        assert (r.ind, r.ind_plus, r.ind_minus) == (value, value, 0), name
+        _replay(g, r.witness, value, 0)
+        _replay(g, r.witness_plus, value, +1)
+        _replay(g, r.witness_minus, 0, -1)
+        assert r.witness == r.witness_plus
+
+
+def test_ind_all_keeps_no_state_between_calls():
+    import gc
+    import tracemalloc
+
+    g = _grid(2, 4)
+    ind_all(g)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            ind_all(g)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1024
+    cached = [
+        name
+        for name, value in vars(graph_index).items()
+        if isinstance(value, (dict, list, set)) and not name.startswith("__") or hasattr(value, "cache_info")
+    ]
+    assert cached == []
+
+
+def test_index_report_surface():
+    import gc
+    import tracemalloc
+
+    big = 2**70
+    g = SignedMultigraph(
+        5,
+        (GraphEdge(0, 1, 1, 300), GraphEdge(1, 2, -1, 70000), GraphEdge(2, 3, 1, -5), GraphEdge(3, 4, -1, big)),
+    )
+    r = ind_all(g)
+    assert (r.ind, r.ind_plus, r.ind_minus) == (4, 2, 2)
+    assert r == ind_all(g) and hash(r) == hash(ind_all(g))
+    assert r != ind_all(path_graph([1, -1, 1, -1]))
+    for field in ("ind", "packed", "witness", "size_limited"):
+        # A property of a frozen dataclass with slots raises TypeError on CPython 3.11.
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(r, field, None)
+    assert isinstance(r.witness, ReductionWitness) and r.witness == ind_all(g).witness
+    witnesses = (r.witness, r.witness_plus, r.witness_minus)
+    steps = [[(s.crossing_id, s.sign, s.kept, s.dropped, s.merged) for s in w.steps] for w in witnesses]
+    assert all(type(s) is WitnessStep for w in witnesses for s in w.steps)
+    assert steps == [
+        [(-5, 1, 2, 3, (2, 3)), (300, 1, 0, 1, (0, 1)), (70000, -1, 0, 2, (0, 2)), (big, -1, 0, 4, (0, 4))],
+        [(-5, 1, 2, 3, (2, 3)), (300, 1, 0, 1, (0, 1))],
+        [(70000, -1, 1, 2, (1, 2)), (big, -1, 3, 4, (3, 4))],
+    ]
+    _replay(g, r.witness, 4, 0)
+    limited = ind_all(g, vertex_cap=3)
+    assert limited.size_limited and limited.witness is None and limited.witness_minus is None
+
+    # A retained report on 10 vertices: three indices and its packed steps.
+    rng = random.Random(19)
+    pairs = rng.sample([(u, v) for u in range(10) for v in range(u + 1, 10)], 13)
+    edges = pairs + pairs[:3]
+    g = SignedMultigraph(10, tuple(GraphEdge(u, v, rng.choice((1, -1)), i) for i, (u, v) in enumerate(edges)))
+    ind_all(g)
+    kept = [None] * 20
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(len(kept)):
+            kept[i] = ind_all(g)
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert kept[0].ind > 0
+    assert retained <= 256
